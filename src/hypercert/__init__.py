@@ -9,8 +9,6 @@ simplex packing density.
 
 from .hypgeo import (
     DomainError,
-    TriplePoint,
-    CapSpec,
     ball_volume,
     cap_volume,
     eta,
@@ -52,8 +50,6 @@ from .certify import (
     goodness_margins,
     sigma_bounds,
     psi_bounds,
-    wlens_lower,
-    wcone_lower,
     phi_lower,
     verify_reference_partition,
     certify_lower_bound,
@@ -75,6 +71,7 @@ from .bounds import (
     lambda1,
     lambda1_noncompact,
     lambda1_compact_p2,
+    homology_coefficient,
     homology_bound,
     small_rank_bound,
 )

@@ -26,7 +26,7 @@ from .certify import (
     _fmt,
 )
 from .density import DEFAULT_QUADRATURE, QuadratureConfig, b_ratio
-from .hypgeo import DomainError, _check_positive, ball_volume
+from .hypgeo import _check_positive, ball_volume
 
 __all__ = [
     "MIN_MANIFOLD_VOLUME",
@@ -43,6 +43,7 @@ __all__ = [
     "lambda1",
     "lambda1_noncompact",
     "lambda1_compact_p2",
+    "homology_coefficient",
     "homology_bound",
     "small_rank_bound",
 ]
@@ -60,7 +61,6 @@ MIN_VOLUME_CLOSED_MOD2_RANK11 = 3.77
 # When dim H1 <= 10, the bound 11 * volume already holds outright because
 # volume > MIN_MANIFOLD_VOLUME > 10/11.
 _SMALL_RANK_COEFF = 11.0
-_SMALL_RANK_MAX_DIM = 10
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,11 @@ class RankBoundReport:
     rank_coefficient: float
     quadrature_tolerance: float
 
+    def rank_bound(self, volume: float) -> float:
+        """The rank bound 1 + (volume / b(eps/2)) * (valence/2 - 1) at this volume."""
+        _check_positive(volume=volume)
+        return 1.0 + (volume / self.b_half_eps) * (self.valence_bound / 2.0 - 1.0)
+
 
 @dataclass(frozen=True)
 class HomologyBoundQuery:
@@ -88,7 +93,6 @@ class HomologyBoundQuery:
 
 
 def _valence_bound(
-    epsilon: float,
     R: float,
     c: float,
     b_half: float,
@@ -115,12 +119,30 @@ def rank_bound(
 ) -> float:
     """Upper bound 1 + (volume / b(eps/2)) * (valence/2 - 1) for the group rank.
 
-    Refuses to emit a bound unless all three preconditions are certified:
+    Refuses to emit a bound unless rank_bound_report certifies its three
+    preconditions (a)-(c).
+    """
+    report = rank_bound_report(epsilon, R, c, certificate, quad_cfg=quad_cfg, slack=slack)
+    return report.rank_bound(volume)
+
+
+def rank_bound_report(
+    epsilon: float,
+    R: float,
+    c: float,
+    certificate: PartitionCertificate,
+    *,
+    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+    slack: float = DEFAULT_SLACK,
+) -> RankBoundReport:
+    """The volume-independent content of rank_bound, packaged for serialization.
+
+    Refuses to build a report unless all three preconditions are certified:
     (a) the partition certificate matches (eps, R) and proves Phi > c on I,
     (b) B(eps/2) > c, and (c) (B(R) - b(eps/2)) / c is not an integer
     (within ten times the slack).
     """
-    _check_positive(epsilon=epsilon, R=R, c=c, volume=volume)
+    _check_positive(epsilon=epsilon, R=R, c=c)
     if certificate.params.epsilon != epsilon or certificate.params.R != R:
         raise CertificationError(
             "condition (a) violated: certificate parameters "
@@ -137,24 +159,7 @@ def rank_bound(
         raise CertificationError(
             f"condition (b) violated: B(eps/2)={ball_volume(0.5 * epsilon)} does not exceed c={c}"
         )
-    valence = _valence_bound(epsilon, R, c, b_half, slack)
-    return 1.0 + (volume / b_half) * (valence / 2.0 - 1.0)
-
-
-def rank_bound_report(
-    epsilon: float,
-    R: float,
-    c: float,
-    certificate: PartitionCertificate,
-    *,
-    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    slack: float = DEFAULT_SLACK,
-) -> RankBoundReport:
-    """The volume-independent content of rank_bound, packaged for serialization."""
-    # validates preconditions (a)-(c); the probe volume is irrelevant
-    rank_bound(epsilon, R, c, 1.0, certificate, quad_cfg=quad_cfg, slack=slack)
-    b_half = b_ratio(0.5 * epsilon, quad_cfg)
-    valence = _valence_bound(epsilon, R, c, b_half, slack)
+    valence = _valence_bound(R, c, b_half, slack)
     return RankBoundReport(
         epsilon=epsilon,
         R=R,
@@ -190,9 +195,7 @@ def report_to_json(report: RankBoundReport, certificate: Optional[PartitionCerti
 def reference_valence_bound(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> int:
     """The valence bound at the reference parameters (eps = log 3, R = 2 log 3 + 0.15, c = 0.496)."""
     b_half = b_ratio(0.5 * REFERENCE_EPSILON, quad_cfg)
-    return _valence_bound(
-        REFERENCE_EPSILON, REFERENCE_RADIUS, REFERENCE_TARGET_C, b_half, DEFAULT_SLACK
-    )
+    return _valence_bound(REFERENCE_RADIUS, REFERENCE_TARGET_C, b_half, DEFAULT_SLACK)
 
 
 def lambda0(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
@@ -221,22 +224,32 @@ def lambda1_compact_p2(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float
     return 1.0 / MIN_VOLUME_CLOSED_MOD2_RANK11 + lambda0(quad_cfg)
 
 
+def homology_coefficient(
+    query: HomologyBoundQuery,
+    quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
+) -> tuple[str, float]:
+    """The coefficient homology_bound applies to query, with its name.
+
+    lambda1'' ("lambda1CompactP2") when compact and p = 2, lambda1'
+    ("lambda1Noncompact") when non-compact, and lambda1 otherwise.
+    """
+    if query.compact and query.prime_is_two:
+        return "lambda1CompactP2", lambda1_compact_p2(quad_cfg)
+    if not query.compact:
+        return "lambda1Noncompact", lambda1_noncompact(quad_cfg)
+    return "lambda1", lambda1(quad_cfg)
+
+
 def homology_bound(
     query: HomologyBoundQuery,
     quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """Upper bound coefficient * volume for dim H1 over a prime field.
 
-    Uses lambda1'' when compact and p = 2, lambda1' when non-compact, and
-    lambda1 otherwise.  Separately, small_rank_bound covers dim <= 10.
+    The coefficient comes from homology_coefficient.  Separately,
+    small_rank_bound covers dim <= 10.
     """
-    if query.compact and query.prime_is_two:
-        coeff = lambda1_compact_p2(quad_cfg)
-    elif not query.compact:
-        coeff = lambda1_noncompact(quad_cfg)
-    else:
-        coeff = lambda1(quad_cfg)
-    return coeff * query.volume
+    return homology_coefficient(query, quad_cfg)[1] * query.volume
 
 
 def small_rank_bound(volume: float) -> float:

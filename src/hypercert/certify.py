@@ -59,8 +59,6 @@ __all__ = [
     "goodness_margins",
     "sigma_bounds",
     "psi_bounds",
-    "wlens_lower",
-    "wcone_lower",
     "phi_lower",
     "verify_reference_partition",
     "certify_lower_bound",
@@ -263,21 +261,6 @@ def psi_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
     return BoundPair(lo, hi)
 
 
-def wlens_lower(params: CertifyParams, d_lo: float, d_hi: float) -> float:
-    """Pointwise lower bound for the lens part W_lens(D) = lens_volume(R - D, eps/2, D)."""
-    s_lo, s_hi = sigma_bounds(params, d_lo, d_hi)
-    r = params.half_eps
-    return cap_volume(params.R - d_hi, s_hi) + cap_volume(r, d_hi - s_lo)
-
-
-def wcone_lower(params: CertifyParams, d_lo: float, d_hi: float) -> float:
-    """Pointwise lower bound for the cone part W_cone(D) = cone_volume(omega, theta)."""
-    p_lo, _ = psi_bounds(params, d_lo, d_hi)
-    r = params.half_eps
-    sector = ball_volume(omega(r, d_lo)) / 2.0 * (1.0 - math.cos(theta(r, d_lo)))
-    return sector - cap_volume(omega(r, d_hi), p_lo)
-
-
 def phi_lower(
     params: CertifyParams,
     d_lo: float,
@@ -376,7 +359,7 @@ def certify_lower_bound(
     """
     _check_finite(target_c=target_c)
     if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
     lo, hi = params.interval
     stack: list[tuple[float, float, int]] = [(lo, hi, 0)]
     done: list[SubintervalCertificate] = []
@@ -414,8 +397,10 @@ def largest_certifiable_c(
     """Largest c (to absolute tolerance c_tol) for which certification succeeds.
 
     The search is capped at B(eps/2): the downstream valence arithmetic needs
-    B(eps/2) > c, so nothing is gained by certifying past the cap.
+    B(eps/2) > c, so nothing is gained by certifying past the cap.  c_tol must
+    be positive and finite, or the bisection would never end.
     """
+    _check_positive(c_tol=c_tol)
     cap = ball_volume(params.half_eps) - 10.0 * slack
     result = certify_lower_bound(params, cap, max_depth, slack)
     if result.success:
@@ -460,7 +445,7 @@ def radius_grid(epsilon: float, count: int) -> list[float]:
     """count radii evenly spaced strictly inside (2 eps, 5 eps / 2)."""
     _check_positive(epsilon=epsilon)
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError(f"count must be >= 1, got {count}")
     step = 0.5 * epsilon / (count + 1)
     return [2.0 * epsilon + k * step for k in range(1, count + 1)]
 
@@ -482,7 +467,7 @@ def optimize_radius(
     """
     _check_positive(epsilon=epsilon)
     if not grid:
-        raise ValueError("radius grid is empty")
+        raise DomainError("radius grid is empty")
     b_half = b_ratio(0.5 * epsilon, quad_cfg)
     entries: list[RadiusGridEntry] = []
     skipped: list[tuple[float, str]] = []

@@ -127,6 +127,31 @@ def _emit_certificate(cfg: CliConfig, cert: certify_mod.PartitionCertificate) ->
         _emit(cfg, _certificate_human(cert))
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 37: exact for every n < 3.18e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _parse_epsilon(text: str) -> float:
     if text.strip() == "log3":
         return math.log(3.0)
@@ -147,7 +172,21 @@ def _parse_radius(text: str) -> float:
         )
 
 
-@click.group(context_settings={"auto_envvar_prefix": "HYPERCERT"})
+class _Command(click.Command):
+    """A subcommand whose DomainError from the library is a usage error (exit 2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except hypgeo.DomainError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group, context_settings={"auto_envvar_prefix": "HYPERCERT"})
 @click.option("--format", "-f", "fmt", type=click.Choice(["json", "csv", "human"]), default="human",
               show_default=True, envvar="HYPERCERT_FORMAT", help="Output format.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
@@ -166,8 +205,8 @@ def _parse_radius(text: str) -> float:
 def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float,
          seed: int, samples: int) -> None:
     """Certified hyperbolic-volume lower bounds and the constants they imply."""
-    if quad_tol <= 0 or slack <= 0:
-        raise click.UsageError("tolerances must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in (quad_tol, slack)):
+        raise click.UsageError("tolerances must be positive and finite")
     ctx.obj = CliConfig(format=fmt, output=output, quad_tol=quad_tol, slack=slack,
                         seed=seed, samples=samples)
 
@@ -222,12 +261,13 @@ def verify(cfg: CliConfig) -> None:
 @click.pass_obj
 def certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float, max_depth: int) -> None:
     """Adaptively certify Phi > c on the admissible interval for (epsilon, R)."""
-    eps = _parse_epsilon(epsilon)
-    rad = _parse_radius(radius)
-    try:
-        params = certify_mod.CertifyParams(eps, rad)
-    except hypgeo.DomainError as exc:
-        raise click.UsageError(str(exc))
+    _emit_certificate(cfg, _certify(cfg, epsilon, radius, target_c, max_depth))
+
+
+def _certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float,
+             max_depth: int) -> certify_mod.PartitionCertificate:
+    """Certify Phi > target_c at the parsed (epsilon, R), or report the failing cell and exit 1."""
+    params = certify_mod.CertifyParams(_parse_epsilon(epsilon), _parse_radius(radius))
     result = certify_mod.certify_lower_bound(params, target_c, max_depth, cfg.slack)
     if not result.success:
         witness = result.witness
@@ -241,7 +281,7 @@ def certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float, max_dept
             )
         sys.exit(1)
     assert result.certificate is not None
-    _emit_certificate(cfg, result.certificate)
+    return result.certificate
 
 
 @main.command()
@@ -268,8 +308,6 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
         scan = certify_mod.optimize_radius(
             eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
         )
-    except hypgeo.DomainError as exc:
-        raise click.UsageError(str(exc))
     except certify_mod.CertificationError as exc:
         click.echo(f"optimization failed: {exc}", err=True)
         sys.exit(1)
@@ -325,21 +363,11 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
 def bound(cfg: CliConfig, volume: float, cusped: bool, prime: int, epsilon: Optional[str],
           radius: Optional[str], target_c: Optional[float], max_depth: int) -> None:
     """Homology dimension bound for a manifold of the given volume (and optionally a rank bound)."""
-    if volume <= 0 or not math.isfinite(volume):
-        raise click.UsageError(f"volume must be positive and finite, got {volume!r}")
-    if prime < 2:
-        raise click.UsageError(f"prime must be >= 2, got {prime}")
+    if not _is_prime(prime):
+        raise click.UsageError(f"prime must be a prime number, got {prime}")
     quad = cfg.quad_cfg
     query = bounds_mod.HomologyBoundQuery(volume=volume, compact=not cusped, prime_is_two=prime == 2)
-    if query.compact and query.prime_is_two:
-        name = "lambda1CompactP2"
-        coeff = bounds_mod.lambda1_compact_p2(quad)
-    elif not query.compact:
-        name = "lambda1Noncompact"
-        coeff = bounds_mod.lambda1_noncompact(quad)
-    else:
-        name = "lambda1"
-        coeff = bounds_mod.lambda1(quad)
+    name, coeff = bounds_mod.homology_coefficient(query, quad)
     items: list[tuple[str, object]] = [
         ("volume", volume),
         ("compact", query.compact),
@@ -354,35 +382,22 @@ def bound(cfg: CliConfig, volume: float, cusped: bool, prime: int, epsilon: Opti
     if rank_requested:
         if epsilon is None or radius is None or target_c is None:
             raise click.UsageError("rank bounds need all of --epsilon, --R and --c")
-        eps = _parse_epsilon(epsilon)
-        rad = _parse_radius(radius)
-        try:
-            params = certify_mod.CertifyParams(eps, rad)
-        except hypgeo.DomainError as exc:
-            raise click.UsageError(str(exc))
-        result = certify_mod.certify_lower_bound(params, target_c, max_depth, cfg.slack)
-        if not result.success:
-            click.echo(f"certification failed: {result.message}", err=True)
-            sys.exit(1)
-        assert result.certificate is not None
+        cert = _certify(cfg, epsilon, radius, target_c, max_depth)
         try:
             report = bounds_mod.rank_bound_report(
-                eps, rad, target_c, result.certificate, quad_cfg=quad, slack=cfg.slack
-            )
-            rank_value = bounds_mod.rank_bound(
-                eps, rad, target_c, volume, result.certificate, quad_cfg=quad, slack=cfg.slack
+                cert.params.epsilon, cert.params.R, target_c, cert, quad_cfg=quad, slack=cfg.slack
             )
         except certify_mod.CertificationError as exc:
             raise click.UsageError(str(exc))
         items += [
-            ("rankBound", rank_value),
+            ("rankBound", report.rank_bound(volume)),
             ("rankCoefficient", report.rank_coefficient),
             ("valenceBound", report.valence_bound),
-            ("certifiedC", result.certificate.certified_c),
-            ("cellCount", result.certificate.cell_count),
+            ("certifiedC", cert.certified_c),
+            ("cellCount", cert.cell_count),
         ]
         if cfg.output and cfg.format == "json":
-            _emit(cfg, bounds_mod.report_to_json(report, result.certificate))
+            _emit(cfg, bounds_mod.report_to_json(report, cert))
             return
     _emit_scalars(cfg, items)
 
@@ -480,10 +495,7 @@ def mc_check(cfg: CliConfig, shape: str, params: Optional[str],
             raise click.UsageError(
                 f"shape {shape!r} takes {len(_SHAPE_DEFAULTS[shape])} parameters, got {len(values)}"
             )
-    try:
-        predicate, center, radius, closed = _mc_setup(shape, values)
-    except hypgeo.DomainError as exc:
-        raise click.UsageError(str(exc))
+    predicate, center, radius, closed = _mc_setup(shape, values)
     est = mcoracle.estimate_volume(predicate, center, radius, cfg.samples, cfg.seed)
     deviation = abs(est.mean - closed) / est.standard_error if est.standard_error > 0 else (
         0.0 if est.mean == closed else math.inf

@@ -9,7 +9,8 @@ where beta(r) = arcsec(sech(2r) + 2) is the dihedral angle and tau(r) the
 volume of the regular simplex with side 2r.  Dividing the ball volume by this
 density gives b_ratio(r) = B(r) / d(r), the certified minimum volume of a
 Voronoi cell around each ball of an r-packing, which is what the bound
-arithmetic downstream consumes.
+arithmetic downstream consumes.  tau(r) has no closed form; simplex_volume_tau
+evaluates it by adaptive QUADPACK quadrature to QuadratureConfig.abs_tol.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
 from scipy.integrate import quad
 
-from .hypgeo import DomainError, _check_finite, _check_positive, acosh_clamped, ball_volume
+from .hypgeo import DomainError, _check_positive, acosh_clamped, ball_volume
 
 __all__ = [
     "QuadratureError",
@@ -45,25 +45,18 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """How to evaluate the simplex volume integral.
+    """How tightly to evaluate the simplex volume integral.
 
-    method is "adaptive" (scipy QUADPACK) or "fixed-order" (composite
-    Gauss-Legendre with a doubled-panel convergence check); abs_tol is the
-    absolute tolerance on the returned value; max_subdivisions limits the
-    adaptive subdivision count / fixed-order panel count.
+    abs_tol is the absolute tolerance on the returned value; QUADPACK's own
+    error estimate must come in under it or the evaluation raises
+    QuadratureError.
     """
 
-    method: str = "adaptive"
     abs_tol: float = 1e-10
-    max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
-        if self.method not in ("adaptive", "fixed-order"):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol!r}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+            raise DomainError(f"abs_tol must be positive and finite, got {self.abs_tol!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -103,52 +96,23 @@ def _tau_integrand_substituted(t_upper: float) -> Callable[[float], float]:
     return g
 
 
-def _integrate_adaptive(g: Callable[[float], float], s_max: float, cfg: QuadratureConfig) -> float:
-    value, abserr = quad(g, 0.0, s_max, epsabs=cfg.abs_tol / 3.0, epsrel=1e-13,
-                         limit=cfg.max_subdivisions)
-    if not math.isfinite(value) or abserr > cfg.abs_tol:
-        raise QuadratureError(
-            f"adaptive quadrature error estimate {abserr:.3e} exceeds tolerance {cfg.abs_tol:.3e}"
-        )
-    return value
-
-
-def _integrate_fixed(g: Callable[[float], float], s_max: float, cfg: QuadratureConfig) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-
-    def composite(panels: int) -> float:
-        edges = np.linspace(0.0, s_max, panels + 1)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            total += half * sum(w * g(mid + half * x) for x, w in zip(nodes, weights))
-        return total
-
-    coarse = composite(cfg.max_subdivisions)
-    fine = composite(2 * cfg.max_subdivisions)
-    if not math.isfinite(fine) or abs(fine - coarse) > cfg.abs_tol / 3.0:
-        raise QuadratureError(
-            f"fixed-order panels disagree by {abs(fine - coarse):.3e} "
-            f"(tolerance {cfg.abs_tol:.3e}); increase max_subdivisions"
-        )
-    return fine
-
-
 def simplex_volume_tau(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Volume of the regular hyperbolic 3-simplex with side length 2r.
 
-    tau(r) = 3 * Integral_{beta(r)}^{arcsec 3} arcsech(sec t - 2) dt, evaluated
-    to within cfg.abs_tol.  Non-convergence raises QuadratureError rather than
-    returning a silently wrong value.
+    tau(r) = 3 * Integral_{beta(r)}^{arcsec 3} arcsech(sec t - 2) dt.  The
+    integral is taken in s = sqrt(arcsec 3 - t) by adaptive QUADPACK
+    (scipy.integrate.quad), the one quadrature in the package.  An error
+    estimate above cfg.abs_tol raises QuadratureError rather than returning a
+    silently wrong value.
     """
     b = dihedral_beta(r)
     s_max = math.sqrt(_ARCSEC3 - b)
-    g = _tau_integrand_substituted(_ARCSEC3)
-    if cfg.method == "adaptive":
-        integral = _integrate_adaptive(g, s_max, cfg)
-    else:
-        integral = _integrate_fixed(g, s_max, cfg)
+    integral, abserr = quad(_tau_integrand_substituted(_ARCSEC3), 0.0, s_max,
+                            epsabs=cfg.abs_tol / 3.0, epsrel=1e-13, limit=200)
+    if not math.isfinite(integral) or abserr > cfg.abs_tol:
+        raise QuadratureError(
+            f"adaptive quadrature error estimate {abserr:.3e} exceeds tolerance {cfg.abs_tol:.3e}"
+        )
     return 3.0 * integral
 
 

@@ -17,12 +17,9 @@ The building blocks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "DomainError",
-    "TriplePoint",
-    "CapSpec",
     "acosh_clamped",
     "ball_volume",
     "cap_volume",
@@ -253,53 +250,3 @@ def phi(rho: float, r: float, d: float) -> float:
         - cap_volume(r, d - psi(om, th))
     )
 
-
-@dataclass(frozen=True)
-class TriplePoint:
-    """A point (x, y, z) of (0, inf)^3 with its domain classification.
-
-    In applications the coordinates are hyperbolic lengths: x = rho (or r1),
-    y = r (or r2), z = d, the distance between the two centers.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _check_positive(x=self.x, y=self.y, z=self.z)
-
-    @property
-    def eta(self) -> float:
-        return eta(self.x, self.y, self.z)
-
-    @property
-    def in_lens_domain(self) -> bool:
-        return in_lens_domain(self.x, self.y, self.z)
-
-    @property
-    def in_phi_domain(self) -> bool:
-        return in_phi_domain(self.x, self.y, self.z)
-
-
-@dataclass(frozen=True)
-class CapSpec:
-    """A solid cap: ball radius r and signed plane distance w.
-
-    w > 0 means the ball's center is excluded from the retained half-space.
-    The cap has positive volume iff w < r.
-    """
-
-    r: float
-    w: float
-
-    def __post_init__(self) -> None:
-        _check_positive(r=self.r)
-        _check_finite(w=self.w)
-
-    @property
-    def nonempty(self) -> bool:
-        return self.w < self.r
-
-    def volume(self) -> float:
-        return cap_volume(self.r, self.w)

@@ -146,7 +146,9 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.
     if not (math.isfinite(radius) and radius > 0.0):
         raise DomainError(f"radius must be positive, got {radius!r}")
     if count < 1:
-        raise ValueError("count must be >= 1")
+        raise DomainError(f"count must be >= 1, got {count}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     direction = rng.normal(size=(count, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)

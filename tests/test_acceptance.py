@@ -34,8 +34,6 @@ from hypercert import (
     reference_params,
     sigma_bounds,
     verify_reference_partition,
-    wcone_lower,
-    wlens_lower,
 )
 from hypercert import mcoracle as mc
 
@@ -215,15 +213,13 @@ def test_criterion_7_bound_sandwich_suite():
         h_lo, h_hi = h_bounds(params, cell.d_lo, cell.d_hi)
         s_lo, s_hi = sigma_bounds(params, cell.d_lo, cell.d_hi)
         p_lo, p_hi = psi_bounds(params, cell.d_lo, cell.d_hi)
-        wl = wlens_lower(params, cell.d_lo, cell.d_hi)
-        wc = wcone_lower(params, cell.d_lo, cell.d_hi)
         for d in rng.uniform(cell.d_lo, cell.d_hi, size=1000):
             d = float(d)
             assert h_lo <= h_at(params, d) <= h_hi
             assert s_lo <= sigma_at(params, d) <= s_hi
             assert p_lo <= psi_at(params, d) <= p_hi
-            assert wlens_at(params, d) >= wl
-            assert wcone_at(params, d) >= wc
+            assert wlens_at(params, d) >= cell.wlens_lo
+            assert wcone_at(params, d) >= cell.wcone_lo
             assert phi_at(params, d) >= cell.phi_lo
     _report(7, "all six pointwise inequalities hold on 1000 samples per reference cell")
 

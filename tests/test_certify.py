@@ -28,8 +28,6 @@ from hypercert import (
     reference_params,
     sigma_bounds,
     verify_reference_partition,
-    wcone_lower,
-    wlens_lower,
 )
 
 # strategies drawing subcells of the reference interval I
@@ -114,11 +112,10 @@ class TestEnclosures:
         pts = reference_breakpoints()
         rng = np.random.default_rng(42)
         for a, b in zip(pts[:-1], pts[1:]):
-            wl = wlens_lower(ref_params, a, b)
-            wc = wcone_lower(ref_params, a, b)
+            cell = phi_lower(ref_params, a, b)
             for d in rng.uniform(a, b, size=20):
-                assert wlens_at(ref_params, float(d)) >= wl
-                assert wcone_at(ref_params, float(d)) >= wc
+                assert wlens_at(ref_params, float(d)) >= cell.wlens_lo
+                assert wcone_at(ref_params, float(d)) >= cell.wcone_lo
 
     def test_enclosure_width_shrinks(self, ref_params):
         d = 1.0
@@ -287,8 +284,16 @@ class TestOptimizeRadius:
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             optimize_radius(1.0, [1.9])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             optimize_radius(1.0, [])
+
+    @pytest.mark.parametrize("c_tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_c_tol(self, c_tol):
+        # a non-positive c_tol used to bisect forever; nan skipped the bisection
+        with pytest.raises(DomainError):
+            optimize_radius(1.0, [2.2], c_tol=c_tol)
+        with pytest.raises(DomainError):
+            largest_certifiable_c(CertifyParams(1.0, 2.2), c_tol=c_tol)
 
 
 class TestSerialization:

@@ -153,13 +153,39 @@ class TestBound:
         assert obj["valenceBound"] == 314
         assert obj["certificate"]["certifiedC"] > 0.496
 
-    def test_invalid_volume_exits_two(self, runner):
-        result = runner.invoke(main, ["bound", "--volume", "-1.0"])
-        assert result.exit_code == 2
 
-    def test_partial_rank_flags_exit_two(self, runner):
-        result = runner.invoke(main, ["bound", "--volume", "1.0", "--epsilon", "log3"])
-        assert result.exit_code == 2
+CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(("bound", "--volume", "-1.0"), id="bound-negative-volume"),
+    pytest.param(("bound", "--volume", "1.0", "--epsilon", "log3"), id="bound-partial-rank-flags"),
+    pytest.param(("bound", "--volume", "1.0", "--prime", "4"), id="bound-composite-prime"),
+    pytest.param(("bound", "--volume", "1", "--epsilon", "log3", "--R", "reference", "--c", "nan"),
+                 id="bound-rank-c-nan"),
+    pytest.param((*CERTIFY_REF, "--c", "0.496", "--max-depth", "0"), id="certify-max-depth-0"),
+    pytest.param((*CERTIFY_REF, "--c", "nan"), id="certify-c-nan"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", "2.3", "--max-depth", "0"),
+                 id="optimize-max-depth-0"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", "2.3", "--c-tol", "0"),
+                 id="optimize-c-tol-0"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", "2.3", "--c-tol", "-1"),
+                 id="optimize-c-tol-negative"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", "2.3", "--c-tol", "nan"),
+                 id="optimize-c-tol-nan"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
+    pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
+    pytest.param(("--samples", "0", "mc-check", "--shape", "ball"), id="global-samples-0"),
+    pytest.param(("--seed", "-1", "mc-check", "--shape", "ball", "--samples", "10"),
+                 id="global-seed-negative"),
+    pytest.param(("--quad-tol", "nan", "constants"), id="quad-tol-nan"),
+    pytest.param(("--slack", "nan", "verify"), id="slack-nan"),
+    pytest.param(("--slack", "inf", "verify"), id="slack-inf"),
+])
+def test_invalid_input_exits_two(runner, args):
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
 
 
 class TestMcCheck:

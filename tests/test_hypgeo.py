@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypercert import (
-    CapSpec,
     DomainError,
-    TriplePoint,
     ball_volume,
     cap_volume,
     cone_volume,
@@ -263,27 +261,16 @@ class TestPhi:
 
 class TestDomainTypes:
     def test_triple_point_classification(self):
-        p = TriplePoint(1.3, 0.55, 1.05)
-        assert p.in_lens_domain and p.in_phi_domain
-        q = TriplePoint(0.6, 0.6, 2.5)
-        assert not q.in_lens_domain and not q.in_phi_domain
-        r = TriplePoint(1.0, 1.2, 1.1)  # admissible but y >= z
-        assert r.in_lens_domain and not r.in_phi_domain
+        assert in_lens_domain(1.3, 0.55, 1.05) and in_phi_domain(1.3, 0.55, 1.05)
+        assert not in_lens_domain(0.6, 0.6, 2.5) and not in_phi_domain(0.6, 0.6, 2.5)
+        # admissible but y >= z
+        assert in_lens_domain(1.0, 1.2, 1.1) and not in_phi_domain(1.0, 1.2, 1.1)
 
     def test_triple_point_validation(self):
         with pytest.raises(DomainError):
-            TriplePoint(0.0, 1.0, 1.0)
+            in_lens_domain(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
-            TriplePoint(1.0, math.inf, 1.0)
-
-    def test_cap_spec(self):
-        spec = CapSpec(1.0, 0.5)
-        assert spec.nonempty
-        assert spec.volume() == cap_volume(1.0, 0.5)
-        assert not CapSpec(1.0, 1.2).nonempty
-        assert CapSpec(1.0, 1.2).volume() == 0.0
-        with pytest.raises(DomainError):
-            CapSpec(-1.0, 0.0)
+            in_lens_domain(1.0, math.inf, 1.0)
 
     def test_in_phi_domain_requires_r_below_d(self):
         assert in_phi_domain(1.3, 0.55, 1.05)

@@ -119,8 +119,10 @@ class TestSampler:
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             sample_ball(BASEPOINT, -1.0, 10, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             sample_ball(BASEPOINT, 1.0, 0, seed=0)
+        with pytest.raises(DomainError):
+            sample_ball(BASEPOINT, 1.0, 10, seed=-1)
 
 
 class TestEstimator:
