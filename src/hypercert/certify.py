@@ -14,9 +14,17 @@ whose bounds all exceed a target c is a machine-checkable certificate that
 Phi > c on I.
 
 The module also ships the fixed 47-cell reference partition establishing
-c = 0.496 at eps = log 3, R = 2 log 3 + 0.15, an adaptive bisection certifier
-for arbitrary targets, and a radius optimizer that minimizes the resulting
+c = 0.496 at eps = log 3, R = 2 log 3 + 0.15, an adaptive certifier for
+arbitrary targets, and a radius optimizer that minimizes the resulting
 valence bound floor((B(R) - b(eps/2)) / c).
+
+The adaptive certifier bisects cells depth-first and, at each split,
+refines the weaker half (the lower phi_lo; a non-good cell is weakest)
+first.  Every search keeps a memo of the cells it has evaluated, keyed by
+their endpoints: largest_certifiable_c shares one memo across all passes of
+its bisection over c, so its failing passes, which all dive toward the
+minimiser of Phi, reuse each other's cells.  The order changes neither which
+targets succeed nor the certificates returned.
 """
 
 from __future__ import annotations
@@ -345,30 +353,50 @@ def verify_reference_partition(slack: float = DEFAULT_SLACK) -> PartitionCertifi
     return cert
 
 
-def certify_lower_bound(
+def _strength(cell: SubintervalCertificate) -> float:
+    """phi_lo of a good cell, -inf for a non-good one: the weaker half is refined first."""
+    return cell.phi_lo if cell.good and cell.phi_lo is not None else -math.inf
+
+
+def _refine(
     params: CertifyParams,
     target_c: float,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    slack: float = DEFAULT_SLACK,
+    max_depth: int,
+    slack: float,
+    memo: dict[tuple[float, float], SubintervalCertificate],
 ) -> CertificationResult:
-    """Adaptively partition I until every cell is good with phi_lo - slack > target_c.
+    """One pass at target_c: bisect I until every cell is good with phi_lo - slack > target_c.
 
-    Cells that fail are bisected at their midpoint up to max_depth; depth
-    exhaustion (or a cell narrower than floating-point resolution) fails the
-    run and returns the offending cell as witness.
+    The search is depth-first.  Each split evaluates both halves and descends
+    into the weaker one first, so a pass that cannot succeed usually fails on
+    its first dive, toward the minimiser of Phi.  Cells are looked up in memo,
+    keyed by (d_lo, d_hi), before phi_lower evaluates them; a cell's value
+    does not depend on target_c, so one memo serves every pass of a search at
+    fixed params and slack.
+
+    Which cells become leaves does not depend on the order: a cell is a leaf
+    exactly when it meets the target, and is split otherwise.  So success or
+    failure, and the certificate (the leaves sorted by d_lo), are the same as
+    for a plain left-to-right search.  Only the witness of a failing pass
+    depends on the order: it is the cell on the weakest path that reached
+    max_depth or floating-point resolution.
     """
-    _check_finite(target_c=target_c)
-    if max_depth < 1:
-        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+
+    def evaluate(d_lo: float, d_hi: float) -> SubintervalCertificate:
+        cell = memo.get((d_lo, d_hi))
+        if cell is None:
+            cell = memo[(d_lo, d_hi)] = phi_lower(params, d_lo, d_hi, slack)
+        return cell
+
     lo, hi = params.interval
-    stack: list[tuple[float, float, int]] = [(lo, hi, 0)]
-    done: list[SubintervalCertificate] = []
+    stack: list[tuple[SubintervalCertificate, int]] = [(evaluate(lo, hi), 0)]
+    leaves: list[SubintervalCertificate] = []
     while stack:
-        d_lo, d_hi, depth = stack.pop()
-        cell = phi_lower(params, d_lo, d_hi, slack)
+        cell, depth = stack.pop()
         if cell.good and cell.phi_lo is not None and cell.phi_lo - slack > target_c:
-            done.append(cell)
+            leaves.append(cell)
             continue
+        d_lo, d_hi = cell.d_lo, cell.d_hi
         if depth >= max_depth:
             return CertificationResult(
                 False, None, cell,
@@ -381,10 +409,39 @@ def certify_lower_bound(
                 False, None, cell,
                 f"cell [{d_lo}, {d_hi}] reached floating-point resolution without certifying",
             )
-        stack.append((mid, d_hi, depth + 1))
-        stack.append((d_lo, mid, depth + 1))
-    cert = _assemble(params, tuple(done), slack)
+        left, right = evaluate(d_lo, mid), evaluate(mid, d_hi)
+        if _strength(right) < _strength(left):
+            left, right = right, left
+        stack.append((right, depth + 1))
+        stack.append((left, depth + 1))
+    leaves.sort(key=lambda c: c.d_lo)
+    cert = _assemble(params, tuple(leaves), slack)
     return CertificationResult(True, cert, None, "")
+
+
+def _check_max_depth(max_depth: int) -> None:
+    if max_depth < 1:
+        raise DomainError(f"max_depth must be >= 1, got {max_depth}")
+
+
+def certify_lower_bound(
+    params: CertifyParams,
+    target_c: float,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    slack: float = DEFAULT_SLACK,
+) -> CertificationResult:
+    """Adaptively partition I until every cell is good with phi_lo - slack > target_c.
+
+    Cells that fail are bisected at their midpoint up to max_depth, the
+    weaker half (lower phi_lo, a non-good cell weakest of all) first, and no
+    cell is evaluated twice.  Depth exhaustion (or a cell narrower than
+    floating-point resolution) fails the run and returns the offending cell as
+    witness; with the weaker-half-first order that is a cell near where Phi is
+    least.  The certificate does not depend on the order of the search.
+    """
+    _check_finite(target_c=target_c)
+    _check_max_depth(max_depth)
+    return _refine(params, target_c, max_depth, slack, {})
 
 
 def largest_certifiable_c(
@@ -399,15 +456,24 @@ def largest_certifiable_c(
     The search is capped at B(eps/2): the downstream valence arithmetic needs
     B(eps/2) > c, so nothing is gained by certifying past the cap.  c_tol must
     be positive and finite, or the bisection would never end.
+
+    The cap pass, the c = 0 pass and every bisection pass share one memo of
+    evaluated cells.  Each failing pass dives weaker half first toward the
+    minimiser of Phi along the same chain of cells, so after the first few
+    passes almost every cell is a lookup.  The passes succeed or fail exactly
+    as independent certify_lower_bound calls would, so c and the certificate
+    are the same.
     """
     _check_positive(c_tol=c_tol)
+    _check_max_depth(max_depth)
+    memo: dict[tuple[float, float], SubintervalCertificate] = {}
     cap = ball_volume(params.half_eps) - 10.0 * slack
-    result = certify_lower_bound(params, cap, max_depth, slack)
+    result = _refine(params, cap, max_depth, slack, memo)
     if result.success:
         assert result.certificate is not None
         return cap, result.certificate
     lo_c = 0.0
-    best = certify_lower_bound(params, lo_c, max_depth, slack)
+    best = _refine(params, lo_c, max_depth, slack, memo)
     if not best.success:
         raise CertificationError(
             f"no positive lower bound certifiable at eps={params.epsilon}, R={params.R}: "
@@ -416,7 +482,7 @@ def largest_certifiable_c(
     hi_c = cap
     while hi_c - lo_c > c_tol:
         mid = 0.5 * (lo_c + hi_c)
-        result = certify_lower_bound(params, mid, max_depth, slack)
+        result = _refine(params, mid, max_depth, slack, memo)
         if result.success:
             lo_c, best = mid, result
         else:

@@ -15,6 +15,7 @@ evaluates it by adaptive QUADPACK quadrature to QuadratureConfig.abs_tol.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -96,6 +97,7 @@ def _tau_integrand_substituted(t_upper: float) -> Callable[[float], float]:
     return g
 
 
+@functools.lru_cache(maxsize=64)
 def simplex_volume_tau(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Volume of the regular hyperbolic 3-simplex with side length 2r.
 
@@ -104,6 +106,9 @@ def simplex_volume_tau(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> 
     (scipy.integrate.quad), the one quadrature in the package.  An error
     estimate above cfg.abs_tol raises QuadratureError rather than returning a
     silently wrong value.
+
+    Results are cached per (r, cfg), so the constants that all rest on
+    b(eps/2) run the quadrature once; errors are not cached.
     """
     b = dihedral_beta(r)
     s_max = math.sqrt(_ARCSEC3 - b)

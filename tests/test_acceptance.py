@@ -123,6 +123,7 @@ def _check_3sigma(label, closed, est):
     return deviation
 
 
+@pytest.mark.slow
 def test_criterion_6_cap_oracle_equivalence():
     rng = np.random.default_rng(MC_MASTER_SEED)
     worst = 0.0
@@ -138,6 +139,7 @@ def test_criterion_6_cap_oracle_equivalence():
     _report(6, f"cap_volume vs MC at 1e6 samples x 5 parameter sets (worst {worst:.2f} sigma)")
 
 
+@pytest.mark.slow
 def test_criterion_6_lens_oracle_equivalence():
     rng = np.random.default_rng(MC_MASTER_SEED + 100)
     worst = 0.0
@@ -158,6 +160,7 @@ def test_criterion_6_lens_oracle_equivalence():
     _report(6, f"lens_volume vs MC at 1e6 samples x 5 parameter sets (worst {worst:.2f} sigma)")
 
 
+@pytest.mark.slow
 def test_criterion_6_cone_oracle_equivalence():
     rng = np.random.default_rng(MC_MASTER_SEED + 200)
     worst = 0.0
@@ -174,6 +177,7 @@ def test_criterion_6_cone_oracle_equivalence():
     _report(6, f"cone_volume vs MC at 1e6 samples x 5 parameter sets (worst {worst:.2f} sigma)")
 
 
+@pytest.mark.slow
 def test_criterion_6_phi_oracle_equivalence():
     rng = np.random.default_rng(MC_MASTER_SEED + 300)
     worst = 0.0

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypercert.certify as certify_mod
 from helpers import h_at, phi_at, psi_at, sigma_at, wcone_at, wlens_at
 from hypercert import (
     CertificationError,
@@ -38,7 +40,8 @@ def _subcell(params, t0, t1, min_width=1e-6, max_width=0.05):
     lo, hi = params.interval
     width = min_width + t1 * (max_width - min_width)
     d_lo = lo + t0 * (hi - lo - width)
-    return d_lo, d_lo + width
+    # d_lo + width can round one ulp past hi when t0 = 1
+    return d_lo, min(d_lo + width, hi)
 
 
 class TestParams:
@@ -252,6 +255,45 @@ class TestAdaptiveCertifier:
         # the true minimum of Phi on I is at the right endpoint
         assert c <= phi_at(ref_params, ref_params.d_max)
 
+    def test_largest_certifiable_c_golden(self, ref_params):
+        c, cert = largest_certifiable_c(ref_params)
+        assert c == 0.4964068684834093
+        assert cert.cell_count == 96
+
+
+class TestSearchCost:
+    """Counts of phi_lower evaluations: a guard on the search's cost that cannot be flaky."""
+
+    @pytest.fixture()
+    def evaluations(self, monkeypatch):
+        counts = Counter()
+        real = certify_mod.phi_lower
+
+        def counting(params, d_lo, d_hi, *args, **kwargs):
+            counts[(d_lo, d_hi)] += 1
+            return real(params, d_lo, d_hi, *args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "phi_lower", counting)
+        return counts
+
+    def test_largest_certifiable_c_evaluates_each_cell_once(self, ref_params, evaluations):
+        largest_certifiable_c(ref_params)
+        assert max(evaluations.values()) == 1
+        assert sum(evaluations.values()) <= 300
+
+    def test_fixed_target_evaluates_the_tree_once(self, ref_params, evaluations):
+        result = certify_lower_bound(ref_params, 0.496)
+        assert result.success and result.certificate.cell_count == 51
+        # 51 leaves and the 50 cells split above them
+        assert sum(evaluations.values()) == 101
+
+    def test_failing_pass_dives_toward_the_minimum(self, ref_params):
+        # Phi is least at D = eps, so the weaker-half-first dive ends there
+        result = certify_lower_bound(ref_params, 0.6)
+        assert not result.success
+        assert "depth" in result.message
+        assert result.witness.d_hi == math.log(3.0)
+
 
 class TestOptimizeRadius:
     def test_single_point_matches_direct_search(self):
@@ -259,7 +301,7 @@ class TestOptimizeRadius:
         scan = optimize_radius(eps, [REFERENCE_RADIUS], c_tol=1e-4)
         c, _ = largest_certifiable_c(reference_params(), c_tol=1e-4)
         assert scan.best.R == REFERENCE_RADIUS
-        assert scan.best.certified_c == pytest.approx(c, abs=1e-12)
+        assert scan.best.certified_c == c
         quotient = (ball_volume(REFERENCE_RADIUS) - scan.b_half_eps) / scan.best.certified_c
         assert scan.best.valence_bound == math.floor(quotient)
 
@@ -274,6 +316,23 @@ class TestOptimizeRadius:
         best_valence = scan.best.valence_bound
         candidates = [e.R for e in scan.entries if e.valence_bound == best_valence]
         assert scan.best.R == min(candidates)
+
+    def test_nine_point_grid_golden(self):
+        eps = REFERENCE_EPSILON
+        scan = optimize_radius(eps, radius_grid(eps, 9))
+        assert [(e.R, e.certified_c, e.valence_bound) for e in scan.entries] == [
+            (2.252155191769625, 0.39549510911096597, 320),
+            (2.3070858062030304, 0.45322808980339024, 315),
+            (2.362016420636436, 0.5124069266679012, 314),
+            (2.4169470350698417, 0.5715632599344027, 317),
+            (2.471877649503247, 0.6289418089581833, 324),
+            (2.5268082639366525, 0.6824778686219048, 335),
+            (2.581738878370058, 0.7297241726420741, 352),
+            (2.6366694928034633, 0.7373978995631877, 391),
+            (2.691600107236869, 0.7373978995631877, 439),
+        ]
+        assert scan.best.R == 2.362016420636436
+        assert scan.skipped == ()
 
     def test_grid_helper_is_interior(self):
         eps = 1.1

@@ -3,9 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypercert.density as density_mod
+from hypercert.cli import main
 from hypercert import (
     DomainError,
     QuadratureConfig,
@@ -107,6 +110,24 @@ class TestSimplexVolume:
     def test_nonconvergence_is_loud(self):
         with pytest.raises(QuadratureError):
             simplex_volume_tau(1.0, QuadratureConfig(abs_tol=1e-30))
+
+    @pytest.mark.parametrize(
+        "args", [("constants",), ("bound", "--volume", "1", "--prime", "3")], ids=["constants", "bound"]
+    )
+    def test_cli_runs_one_quadrature(self, monkeypatch, args):
+        # every constant these commands print rests on the one value b(log3 / 2)
+        calls = []
+        real_quad = density_mod.quad
+
+        def counting_quad(*a, **kw):
+            calls.append(a)
+            return real_quad(*a, **kw)
+
+        monkeypatch.setattr(density_mod, "quad", counting_quad)
+        simplex_volume_tau.cache_clear()
+        result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+        assert result.exit_code == 0
+        assert len(calls) == 1
 
 
 class TestPackingDensity:
