@@ -19,7 +19,6 @@ from . import bounds as bounds_mod
 from . import certify as certify_mod
 from . import density as density_mod
 from . import hypgeo
-from . import mcoracle
 from .certify import _fmt
 
 DEFAULT_SEED = 0xC3A7E
@@ -48,6 +47,11 @@ def _emit(cfg: CliConfig, text: str) -> None:
         click.echo(text, nl=not text.endswith("\n"))
 
 
+def _json_float(x: float) -> str:
+    # JSON has no inf or nan literal
+    return _fmt(x) if math.isfinite(x) else "null"
+
+
 def _scalar_json(items: list[tuple[str, object]]) -> str:
     parts = []
     for key, value in items:
@@ -56,9 +60,9 @@ def _scalar_json(items: list[tuple[str, object]]) -> str:
         elif isinstance(value, int):
             rendered = str(value)
         elif isinstance(value, float):
-            rendered = _fmt(value)
+            rendered = _json_float(value)
         elif isinstance(value, (list, tuple)):
-            rendered = "[" + ", ".join(_fmt(float(v)) for v in value) + "]"
+            rendered = "[" + ", ".join(_json_float(float(v)) for v in value) + "]"
         else:
             rendered = f'"{value}"'
         parts.append(f'  "{key}": {rendered}')
@@ -414,6 +418,8 @@ _SHAPE_DEFAULTS = {
 
 def _mc_setup(shape: str, params: tuple[float, ...]):
     """Return (predicate, envelope center, envelope radius, closed-form volume)."""
+    from . import mcoracle  # numpy is loaded for mc-check only
+
     base = mcoracle.BASEPOINT
     if shape == "ball":
         (r,) = params
@@ -495,6 +501,8 @@ def mc_check(cfg: CliConfig, shape: str, params: Optional[str],
             raise click.UsageError(
                 f"shape {shape!r} takes {len(_SHAPE_DEFAULTS[shape])} parameters, got {len(values)}"
             )
+    from . import mcoracle
+
     predicate, center, radius, closed = _mc_setup(shape, values)
     est = mcoracle.estimate_volume(predicate, center, radius, cfg.samples, cfg.seed)
     deviation = abs(est.mean - closed) / est.standard_error if est.standard_error > 0 else (

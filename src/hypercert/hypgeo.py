@@ -35,9 +35,9 @@ __all__ = [
     "phi",
 ]
 
-# arccosh/arcsin arguments may land a hair outside their domain from roundoff
-# when a configuration is exactly degenerate (right angles, tangency); anything
-# further out is a genuine domain violation.
+# arccosh/arcsin arguments, and the discriminant eta, may land a hair outside
+# their domain from roundoff when a configuration is exactly degenerate (right
+# angles, tangency); anything further out is a genuine domain violation.
 ACOSH_SLOP = 1e-12
 
 
@@ -137,8 +137,9 @@ def in_phi_domain(rho: float, r: float, z: float) -> bool:
 def sigma(x: float, y: float, z: float) -> float:
     """Distance from P1 to the foot of the altitude plane of the (x,y,z) triangle.
 
-    Defined as arccosh(cosh x / sqrt(1 + eta(x,y,z))); requires eta >= 0.
-    Evaluated through the identity
+    Defined as arccosh(cosh x / sqrt(1 + eta(x,y,z))); requires eta >= 0,
+    where eta in [-ACOSH_SLOP, 0) counts as the roundoff of a tangent
+    configuration (see phi) and is taken as 0.  Evaluated through the identity
     sinh^2(z) * (sinh^2(x) - eta) = (cosh x cosh z - cosh y)^2 as
 
         arcsinh( |cosh x cosh z - cosh y| / (sinh z * sqrt(1 + eta)) ),
@@ -147,8 +148,9 @@ def sigma(x: float, y: float, z: float) -> float:
     loses half its digits to the square-root singularity at 1.
     """
     e = eta(x, y, z)
-    if e < 0.0:
+    if e < -ACOSH_SLOP:
         raise DomainError(f"sigma undefined: eta({x}, {y}, {z}) = {e} < 0")
+    e = max(e, 0.0)
     num = abs(math.cosh(x) * math.cosh(z) - math.cosh(y))
     return math.asinh(num / (math.sinh(z) * math.sqrt(1.0 + e)))
 
@@ -233,12 +235,18 @@ def phi(rho: float, r: float, d: float) -> float:
       - cap_volume(r, d - psi(omega, theta))  -- cone n scoop, counted twice
 
     The formula is defined (and continuous) on the whole domain
-    {eta(rho, r, d) >= 0 and r < d}.
+    {eta(rho, r, d) >= 0 and r < d}.  At its edge rho = d + r the scoop
+    touches the clipping ball from inside, and eta is exactly 0, but its
+    binary64 value can come out near -1e-15.  Phi(D) = phi(R - D, eps/2, D)
+    meets this edge at the left end D = R/2 - eps/4 of its interval, for
+    many radii R.  So phi (through sigma) accepts eta >= -ACOSH_SLOP and
+    treats it as 0, the same roundoff allowance as acosh_clamped; anything
+    more negative still raises DomainError.  in_phi_domain stays exact.
     """
     _check_positive(rho=rho, r=r, d=d)
     if r >= d:
         raise DomainError(f"phi requires r < d, got r={r}, d={d}")
-    if eta(rho, r, d) < 0.0:
+    if eta(rho, r, d) < -ACOSH_SLOP:
         raise DomainError(
             f"phi undefined: eta({rho}, {r}, {d}) < 0 (balls do not overlap properly)"
         )

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +208,24 @@ class TestMcCheck:
         assert obj["closedForm"] == pytest.approx(0.6694232433005802, abs=1e-12)
         assert obj["within3Sigma"] is True
 
+    @pytest.mark.filterwarnings("ignore:estimate_volume. no hits")
+    @pytest.mark.parametrize("samples", ["1", "2"])
+    def test_zero_standard_error_json_is_valid(self, runner, samples):
+        # with no hit the standard error is 0 and the deviation infinite
+        result = runner.invoke(main, ["--format", "json", "--samples", samples,
+                                      "mc-check", "--shape", "cap"])
+        assert result.exit_code == 1
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        obj = json.loads(result.stdout, parse_constant=reject)
+        assert obj["standardError"] == 0.0
+        assert obj["deviationSigmas"] is None
+        assert obj["within3Sigma"] is False
+        human = runner.invoke(main, ["--samples", samples, "mc-check", "--shape", "cap"])
+        assert "deviationSigmas  inf" in human.stdout
+
     def test_ball_is_exact(self, runner):
         obj = json.loads(invoke(runner, "--format", "json", "--samples", "1000",
                                 "mc-check", "--shape", "ball", "--params", "0.8").output)
@@ -241,3 +263,39 @@ class TestEnvironmentOverrides:
                                catch_exceptions=False)
         obj = json.loads(result.output)
         assert obj["valenceBound"] == 314
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+IMPORT_PROBE = """
+import sys
+from click.testing import CliRunner
+import hypercert.cli
+for args in (["verify"], ["constants"]):
+    assert CliRunner().invoke(hypercert.cli.main, args).exit_code == 0, args
+print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
+"""
+
+
+class TestImports:
+    def test_cli_loads_neither_scipy_nor_numpy(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
+    def test_mcoracle_names_still_resolve(self):
+        import hypercert
+        from hypercert import estimate_volume, mcoracle
+
+        assert hypercert.mcoracle is mcoracle
+        assert hypercert.BASEPOINT is mcoracle.BASEPOINT
+        assert estimate_volume is mcoracle.estimate_volume
+        with pytest.raises(AttributeError):
+            hypercert.no_such_name
+
+    def test_star_import_keeps_mcoracle_names(self):
+        namespace = {}
+        exec("from hypercert import *", namespace)
+        assert {"estimate_volume", "BASEPOINT", "McEstimate", "phi", "b_ratio"} <= set(namespace)

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import hypercert.density as density_mod
 from hypercert.cli import main
@@ -28,8 +29,8 @@ ARCSEC3 = math.acos(1.0 / 3.0)
 ROGERS_LIMIT = math.sqrt(18.0) * (math.acos(1.0 / 3.0) - math.pi / 3.0)
 
 
-def tau_mpmath(r, dps=30):
-    """Independent oracle: tanh-sinh quadrature of the raw integrand."""
+def tau_mpmath(r, dps=40):
+    """Independent oracle: tanh-sinh quadrature of the raw integrand, as an mpf."""
     with mpmath.workdps(dps):
         beta = mpmath.acos(1 / (mpmath.sech(2 * r) + 2))
         upper = mpmath.acos(mpmath.mpf(1) / 3)
@@ -38,7 +39,15 @@ def tau_mpmath(r, dps=30):
             sech_arg = 1 / (mpmath.sec(t) - 2)
             return mpmath.acosh(sech_arg) if sech_arg > 1 else mpmath.mpf(0)
 
-        return float(3 * mpmath.quad(integrand, [beta, upper]))
+        return 3 * mpmath.quad(integrand, [beta, upper])
+
+
+def tau_quadpack(r):
+    """Independent oracle: QUADPACK on the raw integrand in t."""
+    beta, upper = dihedral_beta(r), math.acos(1.0 / 3.0)
+    value, _ = quad(lambda t: math.acosh(1.0 / (1.0 / math.cos(t) - 2.0)), beta, upper,
+                    epsabs=1e-14, epsrel=1e-14, limit=200)
+    return 3.0 * value
 
 
 def gram_circumradius(r):
@@ -91,10 +100,24 @@ class TestDihedralBeta:
             dihedral_beta(0.0)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_exact_for_polynomials_of_degree_below_2n(self, n):
+        for k in range(2 * n):
+            assert density_mod._gauss_panel(lambda x: x**k, 0.0, 1.0, n) == pytest.approx(
+                1.0 / (k + 1), rel=1e-14)
+
+
 class TestSimplexVolume:
     def test_against_mpmath_oracle(self, quad_cfg):
-        for r in (0.2, LOG3 / 2, 1.0, 2.0):
-            assert simplex_volume_tau(r, quad_cfg) == pytest.approx(tau_mpmath(r), abs=1e-9)
+        for r in (1e-4, 0.2, LOG3 / 2, 1.0, 2.0, 3.0, 5.0):
+            assert abs(simplex_volume_tau(r, quad_cfg) - tau_mpmath(r)) <= 1e-12
+
+    def test_matches_quadpack_over_epsilon_window(self, quad_cfg):
+        # the eps range the benchmark and the radius scans use
+        for k in range(13):
+            r = 0.5 * (0.9 + 0.025 * k)
+            assert simplex_volume_tau(r, quad_cfg) == pytest.approx(tau_quadpack(r), abs=1e-12)
 
     def test_frozen_reference_value(self, quad_cfg):
         assert simplex_volume_tau(LOG3 / 2, quad_cfg) == pytest.approx(0.11436519364702041, abs=1e-10)
@@ -117,13 +140,13 @@ class TestSimplexVolume:
     def test_cli_runs_one_quadrature(self, monkeypatch, args):
         # every constant these commands print rests on the one value b(log3 / 2)
         calls = []
-        real_quad = density_mod.quad
+        real_quad = density_mod._adaptive_gauss_legendre
 
         def counting_quad(*a, **kw):
             calls.append(a)
             return real_quad(*a, **kw)
 
-        monkeypatch.setattr(density_mod, "quad", counting_quad)
+        monkeypatch.setattr(density_mod, "_adaptive_gauss_legendre", counting_quad)
         simplex_volume_tau.cache_clear()
         result = CliRunner().invoke(main, list(args), catch_exceptions=False)
         assert result.exit_code == 0
@@ -149,6 +172,14 @@ class TestPackingDensity:
 class TestBRatio:
     def test_reference_value(self, quad_cfg):
         assert b_ratio(LOG3 / 2, quad_cfg) == pytest.approx(0.9297813075926366, abs=1e-9)
+
+    def test_reference_value_against_mpmath(self, quad_cfg):
+        # b = B / d = pi tau / (3 beta - pi), with every factor in 40 digits
+        r = LOG3 / 2
+        with mpmath.workdps(40):
+            beta = mpmath.acos(1 / (mpmath.sech(2 * mpmath.mpf(r)) + 2))
+            exact = mpmath.pi * tau_mpmath(r) / (3 * beta - mpmath.pi)
+            assert abs(b_ratio(r, quad_cfg) / exact - 1) <= 1e-14
 
     def test_exceeds_ball_volume(self, quad_cfg):
         for r in (0.2, 0.5493, 1.3, 2.1):

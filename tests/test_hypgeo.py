@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hypercert import (
+    CertifyParams,
     DomainError,
     ball_volume,
     cap_volume,
@@ -17,6 +19,7 @@ from hypercert import (
     omega,
     phi,
     psi,
+    radius_grid,
     sigma,
     theta,
 )
@@ -257,6 +260,51 @@ class TestPhi:
         slope = max(jumps) / h
         assert max(jumps) <= 2.0 * slope * h
         assert slope < 10.0
+
+
+def phi_tangent_mpmath(r, d):
+    """Independent oracle, 40 digits: phi(d + r, r, d) from the closed forms.
+
+    With rho = d + r the whole scoop lies in the clipping ball, so the lens
+    term is the ball B(r).
+    """
+    with mpmath.workdps(40):
+        r, d = mpmath.mpf(r), mpmath.mpf(d)
+
+        def ball(a):
+            return mpmath.pi * (mpmath.sinh(2 * a) - 2 * a)
+
+        def cap(a, w):
+            return mpmath.pi * (mpmath.cosh(a) ** 2 * (mpmath.tanh(a) - mpmath.tanh(w)) - (a - w))
+
+        om = mpmath.acosh(mpmath.cosh(d) / mpmath.cosh(r))
+        th = mpmath.asin(mpmath.sinh(r) / mpmath.sinh(d))
+        ps = mpmath.acosh(mpmath.cosh(om) / mpmath.sqrt(1 + (mpmath.sinh(om) * mpmath.sin(th)) ** 2))
+        cone = ball(om) / 2 * (1 - mpmath.cos(th)) - cap(om, ps)
+        return ball(r) + cone - cap(r, d - ps)
+
+
+class TestPhiAtTangency:
+    """Phi(D) at the left end of I, where rho = R - D = D + eps/2 makes eta exactly 0."""
+
+    @pytest.mark.parametrize("R", radius_grid(LOG3, 59))
+    def test_left_end_of_interval(self, R):
+        params = CertifyParams(LOG3, R)
+        d = params.interval[0]
+        assert abs(eta(R - d, params.half_eps, d)) < 1e-13
+        assert phi(R - d, params.half_eps, d) == pytest.approx(
+            float(phi_tangent_mpmath(params.half_eps, d)), rel=1e-12)
+
+    def test_eta_beyond_roundoff_still_raises(self):
+        r, d = LOG3 / 2, 1.0
+        # eta falls linearly in rho just past rho = d + r; step to eta = -1e-6
+        slope = eta(d + r + 1e-6, r, d) / 1e-6
+        rho = d + r - 1e-6 / slope
+        assert eta(rho, r, d) == pytest.approx(-1e-6, rel=1e-3)
+        with pytest.raises(DomainError):
+            phi(rho, r, d)
+        with pytest.raises(DomainError):
+            sigma(rho, r, d)
 
 
 class TestDomainTypes:
