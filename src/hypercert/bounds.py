@@ -142,7 +142,7 @@ def rank_bound_report(
     (b) B(eps/2) > c, and (c) (B(R) - b(eps/2)) / c is not an integer
     (within ten times the slack).
     """
-    _check_positive(epsilon=epsilon, R=R, c=c)
+    _check_positive(epsilon=epsilon, R=R, c=c, slack=slack)
     if certificate.params.epsilon != epsilon or certificate.params.R != R:
         raise CertificationError(
             "condition (a) violated: certificate parameters "

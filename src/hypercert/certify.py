@@ -13,6 +13,14 @@ valid at every interior point.  A partition of I into "good" subintervals
 whose bounds all exceed a target c is a machine-checkable certificate that
 Phi > c on I.
 
+One cell core evaluates a cell: phi_lower checks the cell once, computes
+cosh and sinh of r = eps/2, d_lo, d_hi, R - d_lo and R - d_hi once each (and
+the tangent cone omega, theta at the two endpoints from them), and applies
+each formula once: the H bounds, the three goodness margins, and the sigma
+and psi enclosures.  h_bounds, goodness_margins, sigma_bounds and psi_bounds
+expose single stages through the same formula helpers.  Every decision
+subtracts a slack that must be finite and positive.
+
 The module also ships the fixed 47-cell reference partition establishing
 c = 0.496 at eps = log 3, R = 2 log 3 + 0.15, an adaptive certifier for
 arbitrary targets, and a radius optimizer that minimizes the resulting
@@ -38,13 +46,12 @@ from typing import NamedTuple, Optional, Sequence
 from .density import DEFAULT_QUADRATURE, QuadratureConfig, b_ratio
 from .hypgeo import (
     DomainError,
+    _asin_clamped,
     _check_finite,
     _check_positive,
     acosh_clamped,
     ball_volume,
     cap_volume,
-    omega,
-    theta,
 )
 
 __all__ = [
@@ -197,6 +204,8 @@ class CertificationResult:
 
 
 def _check_cell(params: CertifyParams, d_lo: float, d_hi: float) -> None:
+    if params.d_min <= d_lo < d_hi <= params.epsilon:
+        return  # a valid cell; the checks below only choose the error message
     _check_finite(d_lo=d_lo, d_hi=d_hi)
     if not d_lo < d_hi:
         raise DomainError(f"cell endpoints must satisfy d_lo < d_hi, got [{d_lo}, {d_hi}]")
@@ -207,66 +216,123 @@ def _check_cell(params: CertifyParams, d_lo: float, d_hi: float) -> None:
         )
 
 
+class _Ends(NamedTuple):
+    """The endpoint values of a checked cell, each computed once; r = eps/2."""
+
+    c_r: float       # cosh r
+    c_rlo: float     # cosh(R - d_lo), the largest cosh(R - D) on the cell
+    c_rhi: float     # cosh(R - d_hi), the smallest
+    s_rhi: float     # sinh(R - d_hi)
+    c_lo: float      # cosh d_lo
+    c_hi: float      # cosh d_hi
+    s_lo: float      # sinh d_lo
+    s_hi: float      # sinh d_hi
+    om_lo: float     # omega(r, d_lo), the tangent-cone generator
+    om_hi: float     # omega(r, d_hi)
+    th_lo: float     # theta(r, d_lo), the tangent-cone half-angle
+    sh_om_lo: float  # sinh omega(r, d_lo)
+    ch_om_lo: float  # cosh omega(r, d_lo)
+    ch_om_hi: float  # cosh omega(r, d_hi)
+    g_lo: float      # sinh omega sin theta at d_lo, the smallest on the cell
+    g_hi: float      # sinh omega sin theta at d_hi, the largest
+
+
+def _ends(params: CertifyParams, d_lo: float, d_hi: float) -> _Ends:
+    """Check the cell once and evaluate cosh/sinh of r, d_lo, d_hi, R - d_lo and R - d_hi.
+
+    omega and theta are formed from these shared values rather than through
+    hypgeo.omega/theta, whose r < d checks hold here: CertifyParams and the
+    cell check give d >= R/2 - eps/4 > 3 eps/4 > eps/2 = r.
+    """
+    _check_cell(params, d_lo, d_hi)
+    r = params.half_eps
+    R = params.R
+    c_r, s_r = math.cosh(r), math.sinh(r)
+    c_lo, c_hi = math.cosh(d_lo), math.cosh(d_hi)
+    s_lo, s_hi = math.sinh(d_lo), math.sinh(d_hi)
+    om_lo, om_hi = acosh_clamped(c_lo / c_r), acosh_clamped(c_hi / c_r)
+    th_lo, th_hi = _asin_clamped(s_r / s_lo), _asin_clamped(s_r / s_hi)
+    sh_om_lo = math.sinh(om_lo)
+    return _Ends(
+        c_r, math.cosh(R - d_lo), math.cosh(R - d_hi), math.sinh(R - d_hi),
+        c_lo, c_hi, s_lo, s_hi, om_lo, om_hi, th_lo,
+        sh_om_lo, math.cosh(om_lo), math.cosh(om_hi),
+        sh_om_lo * math.sin(th_lo), math.sinh(om_hi) * math.sin(th_hi),
+    )
+
+
+# The formulas, each written once, as functions of the endpoint values.
+
+def _h(
+    c_r: float, c_rlo: float, c_rhi: float, c_lo: float, c_hi: float, s_lo: float, s_hi: float
+) -> tuple[float, float]:
+    num_lo = 2.0 * c_rhi * c_r * c_lo - (c_rlo * c_rlo + c_r * c_r + c_hi * c_hi) + 1.0
+    num_hi = 2.0 * c_rlo * c_r * c_hi - (c_rhi * c_rhi + c_r * c_r + c_lo * c_lo) + 1.0
+    return num_lo / (s_hi * s_hi), num_hi / (s_lo * s_lo)
+
+
+def _margins(
+    h_lo: float, h_hi: float, s_rhi: float, sh_om_lo: float, g_hi: float
+) -> tuple[float, float, float]:
+    return (h_lo + 1.0, s_rhi * s_rhi - h_hi, sh_om_lo - g_hi)
+
+
+def _sigma(c_rlo: float, c_rhi: float, h_lo: float, h_hi: float) -> tuple[float, float]:
+    # needs margins 1 and 2 > 0
+    return (
+        acosh_clamped(c_rhi / math.sqrt(1.0 + h_hi)),
+        acosh_clamped(c_rlo / math.sqrt(1.0 + h_lo)),
+    )
+
+
+def _psi(ch_om_lo: float, ch_om_hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
+    # needs margin 3 > 0
+    return (
+        acosh_clamped(ch_om_lo / math.sqrt(1.0 + g_hi * g_hi)),
+        acosh_clamped(ch_om_hi / math.sqrt(1.0 + g_lo * g_lo)),
+    )
+
+
+def _h_and_margins(
+    params: CertifyParams, d_lo: float, d_hi: float
+) -> tuple[_Ends, tuple[float, float], tuple[float, float, float]]:
+    e = _ends(params, d_lo, d_hi)
+    h_lo, h_hi = _h(e.c_r, e.c_rlo, e.c_rhi, e.c_lo, e.c_hi, e.s_lo, e.s_hi)
+    return e, (h_lo, h_hi), _margins(h_lo, h_hi, e.s_rhi, e.sh_om_lo, e.g_hi)
+
+
 def h_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
     """Enclosure of H(D) = eta(R - D, eps/2, D) on [d_lo, d_hi].
 
     Both bounds substitute endpoints so that every numerator term moves in
     the pessimal direction; together with H >= 0 on I this sandwiches H(D).
     """
-    _check_cell(params, d_lo, d_hi)
-    r = params.half_eps
-    R = params.R
-    cr = math.cosh(r)
-    c_rlo = math.cosh(R - d_lo)   # largest cosh(R - D) on the cell
-    c_rhi = math.cosh(R - d_hi)   # smallest
-    c_dlo = math.cosh(d_lo)
-    c_dhi = math.cosh(d_hi)
-    num_lo = 2.0 * c_rhi * cr * c_dlo - (c_rlo * c_rlo + cr * cr + c_dhi * c_dhi) + 1.0
-    num_hi = 2.0 * c_rlo * cr * c_dhi - (c_rhi * c_rhi + cr * cr + c_dlo * c_dlo) + 1.0
-    s_lo = math.sinh(d_lo)
-    s_hi = math.sinh(d_hi)
-    return BoundPair(num_lo / (s_hi * s_hi), num_hi / (s_lo * s_lo))
+    return BoundPair(*_h_and_margins(params, d_lo, d_hi)[1])
 
 
 def goodness_margins(params: CertifyParams, d_lo: float, d_hi: float) -> tuple[float, float, float]:
     """The three positivity margins that make the endpoint bounds valid on a cell."""
-    h_lo, h_hi = h_bounds(params, d_lo, d_hi)
-    r = params.half_eps
-    s = math.sinh(params.R - d_hi)
-    m1 = h_lo + 1.0
-    m2 = s * s - h_hi
-    m3 = math.sinh(omega(r, d_lo)) - math.sinh(omega(r, d_hi)) * math.sin(theta(r, d_hi))
-    return (m1, m2, m3)
+    return _h_and_margins(params, d_lo, d_hi)[2]
 
 
 def sigma_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
     """Enclosure of Sigma(D) = sigma(R - D, eps/2, D); needs margins 1 and 2 > 0."""
-    h_lo, h_hi = h_bounds(params, d_lo, d_hi)
-    s = math.sinh(params.R - d_hi)
-    if not (h_lo > -1.0 and h_hi < s * s):
+    e, (h_lo, h_hi), (m1, m2, _) = _h_and_margins(params, d_lo, d_hi)
+    if not (m1 > 0.0 and m2 > 0.0):
         raise DomainError(
             f"cell [{d_lo}, {d_hi}] fails goodness conditions (1)-(2); sigma bounds undefined"
         )
-    lo = acosh_clamped(math.cosh(params.R - d_hi) / math.sqrt(1.0 + h_hi))
-    hi = acosh_clamped(math.cosh(params.R - d_lo) / math.sqrt(1.0 + h_lo))
-    return BoundPair(lo, hi)
+    return BoundPair(*_sigma(e.c_rlo, e.c_rhi, h_lo, h_hi))
 
 
 def psi_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
     """Enclosure of Psi(D) = psi(omega(eps/2, D), theta(eps/2, D)); needs margin 3 > 0."""
-    _check_cell(params, d_lo, d_hi)
-    r = params.half_eps
-    om_lo, om_hi = omega(r, d_lo), omega(r, d_hi)
-    th_lo, th_hi = theta(r, d_lo), theta(r, d_hi)
-    if not math.sinh(om_lo) > math.sinh(om_hi) * math.sin(th_hi):
+    e, _, (_, _, m3) = _h_and_margins(params, d_lo, d_hi)
+    if not m3 > 0.0:
         raise DomainError(
             f"cell [{d_lo}, {d_hi}] fails goodness condition (3); psi bounds undefined"
         )
-    g_hi = math.sinh(om_hi) * math.sin(th_hi)   # largest sinh(omega) sin(theta) on the cell
-    g_lo = math.sinh(om_lo) * math.sin(th_lo)   # smallest
-    lo = acosh_clamped(math.cosh(om_lo) / math.sqrt(1.0 + g_hi * g_hi))
-    hi = acosh_clamped(math.cosh(om_hi) / math.sqrt(1.0 + g_lo * g_lo))
-    return BoundPair(lo, hi)
+    return BoundPair(*_psi(e.ch_om_lo, e.ch_om_hi, e.g_lo, e.g_hi))
 
 
 def phi_lower(
@@ -277,25 +343,29 @@ def phi_lower(
 ) -> SubintervalCertificate:
     """Evaluate one cell: margins, goodness, and (when good) all lower bounds.
 
-    Never raises on a non-good cell; the certificate records good=False with
-    the margins so callers can decide to split.
+    This is the cell core.  It checks the cell once, takes every endpoint
+    value from one _ends call and applies each formula once.  It never raises
+    on a non-good cell; the certificate records good=False with the margins
+    so callers can decide to split.  slack must be finite and positive, so on
+    a good cell every margin is > 0, as the sigma and psi enclosures need.
     """
-    h_lo, h_hi = h_bounds(params, d_lo, d_hi)
-    margins = goodness_margins(params, d_lo, d_hi)
-    good = all(m > slack for m in margins)
-    if not good:
+    if not 0.0 < slack < math.inf:
+        raise DomainError(f"slack must be finite and positive, got {slack!r}")
+    (c_r, c_rlo, c_rhi, s_rhi, c_lo, c_hi, s_lo, s_hi, om_lo, om_hi, th_lo,
+     sh_om_lo, ch_om_lo, ch_om_hi, g_lo, g_hi) = _ends(params, d_lo, d_hi)
+    h_lo, h_hi = _h(c_r, c_rlo, c_rhi, c_lo, c_hi, s_lo, s_hi)
+    margins = _margins(h_lo, h_hi, s_rhi, sh_om_lo, g_hi)
+    if not (margins[0] > slack and margins[1] > slack and margins[2] > slack):
         return SubintervalCertificate(d_lo, d_hi, h_lo, h_hi, margins, False)
-    s_lo, s_hi = sigma_bounds(params, d_lo, d_hi)
-    p_lo, p_hi = psi_bounds(params, d_lo, d_hi)
+    sg_lo, sg_hi = _sigma(c_rlo, c_rhi, h_lo, h_hi)
+    p_lo, p_hi = _psi(ch_om_lo, ch_om_hi, g_lo, g_hi)
     r = params.half_eps
-    wl = cap_volume(params.R - d_hi, s_hi) + cap_volume(r, d_hi - s_lo)
-    wc = ball_volume(omega(r, d_lo)) / 2.0 * (1.0 - math.cos(theta(r, d_lo))) - cap_volume(
-        omega(r, d_hi), p_lo
-    )
+    wl = cap_volume(params.R - d_hi, sg_hi) + cap_volume(r, d_hi - sg_lo)
+    wc = ball_volume(om_lo) / 2.0 * (1.0 - math.cos(th_lo)) - cap_volume(om_hi, p_lo)
     ph = wl + wc - cap_volume(r, d_lo - p_hi)
     return SubintervalCertificate(
         d_lo, d_hi, h_lo, h_hi, margins, True,
-        sigma_lo=s_lo, sigma_hi=s_hi, psi_lo=p_lo, psi_hi=p_hi,
+        sigma_lo=sg_lo, sigma_hi=sg_hi, psi_lo=p_lo, psi_hi=p_hi,
         wlens_lo=wl, wcone_lo=wc, phi_lo=ph,
     )
 
@@ -337,6 +407,7 @@ def verify_reference_partition(slack: float = DEFAULT_SLACK) -> PartitionCertifi
     Raises CertificationError if any cell fails its goodness margins or if the
     certified constant does not exceed 0.496.
     """
+    _check_positive(slack=slack)
     params = reference_params()
     pts = reference_breakpoints()
     cells = tuple(phi_lower(params, a, b, slack) for a, b in zip(pts[:-1], pts[1:]))
@@ -440,6 +511,7 @@ def certify_lower_bound(
     least.  The certificate does not depend on the order of the search.
     """
     _check_finite(target_c=target_c)
+    _check_positive(slack=slack)
     _check_max_depth(max_depth)
     return _refine(params, target_c, max_depth, slack, {})
 
@@ -464,7 +536,7 @@ def largest_certifiable_c(
     as independent certify_lower_bound calls would, so c and the certificate
     are the same.
     """
-    _check_positive(c_tol=c_tol)
+    _check_positive(c_tol=c_tol, slack=slack)
     _check_max_depth(max_depth)
     memo: dict[tuple[float, float], SubintervalCertificate] = {}
     cap = ball_volume(params.half_eps) - 10.0 * slack
@@ -531,7 +603,7 @@ def optimize_radius(
     largest certified constant there.  Grid points where certification fails
     are skipped with a warning.  Ties break toward smaller R.
     """
-    _check_positive(epsilon=epsilon)
+    _check_positive(epsilon=epsilon, slack=slack)
     if not grid:
         raise DomainError("radius grid is empty")
     b_half = b_ratio(0.5 * epsilon, quad_cfg)
@@ -634,7 +706,9 @@ def certificate_from_json(text: str) -> PartitionCertificate:
                 phi_lo=opt("phiLo"),
             )
         )
-    cert = _assemble(params, tuple(cells), float(obj["slack"]))
+    slack = float(obj["slack"])
+    _check_positive(slack=slack)
+    cert = _assemble(params, tuple(cells), slack)
     if cert.certified_c != float(obj["certifiedC"]) or cert.cell_count != int(obj["cellCount"]):
         raise CertificationError("certificate summary fields do not match its cells")
     return cert

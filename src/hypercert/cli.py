@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -504,7 +505,12 @@ def mc_check(cfg: CliConfig, shape: str, params: Optional[str],
     from . import mcoracle
 
     predicate, center, radius, closed = _mc_setup(shape, values)
-    est = mcoracle.estimate_volume(predicate, center, radius, cfg.samples, cfg.seed)
+    with warnings.catch_warnings():
+        # est.zero_hits carries this warning; it is reported below as one plain line
+        warnings.filterwarnings("ignore", message="estimate_volume: no hits")
+        est = mcoracle.estimate_volume(predicate, center, radius, cfg.samples, cfg.seed)
+    if est.zero_hits:
+        click.echo("mc-check: no hits inside the envelope; the estimate is 0", err=True)
     deviation = abs(est.mean - closed) / est.standard_error if est.standard_error > 0 else (
         0.0 if est.mean == closed else math.inf
     )

@@ -52,6 +52,11 @@ def _check_finite(**values: float) -> None:
 
 
 def _check_positive(**values: float) -> None:
+    for v in values.values():
+        if not 0.0 < v < math.inf:
+            break
+    else:
+        return  # all finite and positive: skip the per-name checks below
     _check_finite(**values)
     for name, v in values.items():
         if v <= 0.0:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -26,18 +28,27 @@ from hypercert import (
     phi_lower,
     psi_bounds,
     radius_grid,
+    rank_bound,
+    rank_bound_report,
     reference_breakpoints,
     reference_params,
     sigma_bounds,
     verify_reference_partition,
 )
 
-# strategies drawing subcells of the reference interval I
+# strategies drawing parameters (eps, R = 2 eps + u eps / 2) and subcells of I
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_eps = st.floats(min_value=0.9, max_value=1.2, allow_nan=False)
+_u = st.floats(min_value=0.02, max_value=0.98, allow_nan=False)
+
+
+def _params(eps, u):
+    return CertifyParams(eps, 2.0 * eps + u * eps / 2.0)
 
 
 def _subcell(params, t0, t1, min_width=1e-6, max_width=0.05):
     lo, hi = params.interval
+    max_width = min(max_width, hi - lo)  # I is eps (1 - u) / 4 long
     width = min_width + t1 * (max_width - min_width)
     d_lo = lo + t0 * (hi - lo - width)
     # d_lo + width can round one ulp past hi when t0 = 1
@@ -164,9 +175,9 @@ class TestPhiLower:
         assert len(cell.margins) == 3
 
     @settings(max_examples=40)
-    @given(_unit, _unit)
-    def test_pointwise_domination(self, t0, t1):
-        params = reference_params()
+    @given(_eps, _u, _unit, _unit)
+    def test_pointwise_domination(self, eps, u, t0, t1):
+        params = _params(eps, u)
         d_lo, d_hi = _subcell(params, t0, t1)
         cell = phi_lower(params, d_lo, d_hi)
         if not cell.good:
@@ -175,9 +186,9 @@ class TestPhiLower:
             assert phi_at(params, float(d)) >= cell.phi_lo
 
     @settings(max_examples=40)
-    @given(_unit, _unit)
-    def test_refinement_monotonicity(self, t0, t1):
-        params = reference_params()
+    @given(_eps, _u, _unit, _unit)
+    def test_refinement_monotonicity(self, eps, u, t0, t1):
+        params = _params(eps, u)
         d_lo, d_hi = _subcell(params, t0, t1)
         parent = phi_lower(params, d_lo, d_hi)
         if not parent.good:
@@ -259,6 +270,39 @@ class TestAdaptiveCertifier:
         c, cert = largest_certifiable_c(ref_params)
         assert c == 0.4964068684834093
         assert cert.cell_count == 96
+
+    def test_largest_certifiable_c_certificate_bits(self, ref_params):
+        # pins all 13 fields of the 96 cells, as rendered by certificate_to_json
+        _, cert = largest_certifiable_c(ref_params)
+        digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
+        assert digest == "36c5a3f02ef7c20d505c97eb940b7d1ccbcc6676e50c3d36e8c3375aa496bc70"
+
+
+_SLACK_ENTRY_POINTS = {
+    "phi_lower": lambda s: phi_lower(reference_params(), *reference_breakpoints()[44:46], s),
+    "certify_lower_bound": lambda s: certify_lower_bound(reference_params(), 0.4965, slack=s),
+    "largest_certifiable_c": lambda s: largest_certifiable_c(reference_params(), slack=s),
+    "optimize_radius": lambda s: optimize_radius(REFERENCE_EPSILON, [REFERENCE_RADIUS], slack=s),
+    "verify_reference_partition": lambda s: verify_reference_partition(slack=s),
+    "rank_bound_report": lambda s: rank_bound_report(
+        REFERENCE_EPSILON, REFERENCE_RADIUS, 0.496, verify_reference_partition(), slack=s
+    ),
+    "rank_bound": lambda s: rank_bound(
+        REFERENCE_EPSILON, REFERENCE_RADIUS, 0.6, 1.0, verify_reference_partition(), slack=s
+    ),
+    "certificate_from_json": lambda s: certificate_from_json(json.dumps(
+        {**json.loads(certificate_to_json(verify_reference_partition())), "slack": s}
+    )),
+}
+
+
+@pytest.mark.parametrize("slack", [-1e-3, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_SLACK_ENTRY_POINTS))
+def test_rejects_slack_that_is_not_finite_and_positive(entry, slack):
+    # a negative slack let certify_lower_bound(ref, 0.4965) succeed with
+    # certified_c 0.49567, and rank_bound(c=0.6) claim 139.74
+    with pytest.raises(DomainError):
+        _SLACK_ENTRY_POINTS[entry](slack)
 
 
 class TestSearchCost:
@@ -356,6 +400,13 @@ class TestOptimizeRadius:
 
 
 class TestSerialization:
+    def test_reference_certificate_bits(self):
+        # pins all 13 fields of the 47 reference cells
+        digest = hashlib.sha256(certificate_to_json(verify_reference_partition()).encode())
+        assert digest.hexdigest() == (
+            "b43689b3d4e2f200d2bd4b3206460bc30f1b89bf5b57c353d9d104caf7502bfd"
+        )
+
     def test_json_round_trip_is_exact(self):
         cert = verify_reference_partition()
         text = certificate_to_json(cert)
@@ -364,8 +415,6 @@ class TestSerialization:
         assert certificate_to_json(back) == text
 
     def test_json_schema_fields(self):
-        import json
-
         obj = json.loads(certificate_to_json(verify_reference_partition()))
         assert set(obj) == {"epsilon", "R", "slack", "cells", "certifiedC", "cellCount"}
         assert obj["cellCount"] == 47

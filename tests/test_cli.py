@@ -208,7 +208,6 @@ class TestMcCheck:
         assert obj["closedForm"] == pytest.approx(0.6694232433005802, abs=1e-12)
         assert obj["within3Sigma"] is True
 
-    @pytest.mark.filterwarnings("ignore:estimate_volume. no hits")
     @pytest.mark.parametrize("samples", ["1", "2"])
     def test_zero_standard_error_json_is_valid(self, runner, samples):
         # with no hit the standard error is 0 and the deviation infinite
@@ -225,6 +224,19 @@ class TestMcCheck:
         assert obj["within3Sigma"] is False
         human = runner.invoke(main, ["--samples", samples, "mc-check", "--shape", "cap"])
         assert "deviationSigmas  inf" in human.stdout
+
+    def test_zero_hits_is_one_plain_stderr_line(self, runner):
+        # a fresh process, because pytest records Python warnings instead of printing them
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+        args = ["--samples", "1", "mc-check", "--shape", "cap"]
+        proc = subprocess.run([sys.executable, "-m", "hypercert.cli", *args], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "no hits" in proc.stderr
+        assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == runner.invoke(main, args).stdout
 
     def test_ball_is_exact(self, runner):
         obj = json.loads(invoke(runner, "--format", "json", "--samples", "1000",
