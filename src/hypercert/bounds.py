@@ -11,6 +11,7 @@ thresholds.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,8 +23,7 @@ from .certify import (
     REFERENCE_RADIUS,
     REFERENCE_TARGET_C,
     DEFAULT_SLACK,
-    certificate_to_json,
-    _fmt,
+    _certificate_obj,
 )
 from .density import DEFAULT_QUADRATURE, QuadratureConfig, b_ratio
 from .hypgeo import _check_positive, ball_volume
@@ -174,22 +174,12 @@ def rank_bound_report(
 
 def report_to_json(report: RankBoundReport, certificate: Optional[PartitionCertificate] = None) -> str:
     """Serialize a RankBoundReport, optionally alongside its PartitionCertificate."""
-    fields = [
-        f'"epsilon": {_fmt(report.epsilon)}',
-        f'"R": {_fmt(report.R)}',
-        f'"c": {_fmt(report.c)}',
-        f'"bHalfEps": {_fmt(report.b_half_eps)}',
-        f'"ballR": {_fmt(report.ball_R)}',
-        f'"valenceBound": {report.valence_bound}',
-        f'"rankCoefficient": {_fmt(report.rank_coefficient)}',
-        f'"quadratureTolerance": {_fmt(report.quadrature_tolerance)}',
-    ]
-    body = "{\n  " + ",\n  ".join(fields)
+    obj = {"epsilon": report.epsilon, "R": report.R, "c": report.c, "bHalfEps": report.b_half_eps,
+           "ballR": report.ball_R, "valenceBound": report.valence_bound,
+           "rankCoefficient": report.rank_coefficient, "quadratureTolerance": report.quadrature_tolerance}
     if certificate is not None:
-        cert_json = certificate_to_json(certificate).rstrip("\n")
-        indented = cert_json.replace("\n", "\n  ")
-        body += f',\n  "certificate": {indented}'
-    return body + "\n}\n"
+        obj["certificate"] = _certificate_obj(certificate)
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def reference_valence_bound(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> int:

@@ -632,84 +632,87 @@ def optimize_radius(
 
 
 # --- serialization -----------------------------------------------------------
-#
-# JSON schema:
-#   {epsilon, R, slack, cells: [{dLo, dHi, hLo, hHi, sigmaLo, sigmaHi, psiLo,
-#    psiHi, wlensLo, wconeLo, phiLo, good, margins: [m1, m2, m3]}],
-#    certifiedC, cellCount}
-# All reals are rendered with 17 significant digits so parsing recovers the
-# exact binary64 values.
 
-CSV_HEADER = (
-    "dLo,dHi,hLo,hHi,sigmaLo,sigmaHi,psiLo,psiHi,wlensLo,wconeLo,phiLo,good,"
-    "margin1,margin2,margin3"
+# The cell schema, in CSV column order: (JSON key, SubintervalCertificate
+# attribute).  margins is one JSON array of three numbers, and three CSV columns.
+_CELL_FIELDS = (
+    ("dLo", "d_lo"), ("dHi", "d_hi"), ("hLo", "h_lo"), ("hHi", "h_hi"),
+    ("sigmaLo", "sigma_lo"), ("sigmaHi", "sigma_hi"), ("psiLo", "psi_lo"), ("psiHi", "psi_hi"),
+    ("wlensLo", "wlens_lo"), ("wconeLo", "wcone_lo"), ("phiLo", "phi_lo"),
+    ("good", "good"), ("margins", "margins"),
 )
+
+CSV_HEADER = ",".join(key for key, _ in _CELL_FIELDS[:-1]) + ",margin1,margin2,margin3"
 
 
 def _fmt(x: Optional[float]) -> str:
+    """17 significant digits, so the CSV and human outputs parse back to the exact binary64 values."""
     return "null" if x is None else format(x, ".17g")
 
 
-def _cell_to_obj(c: SubintervalCertificate) -> str:
-    pairs = [
-        ("dLo", _fmt(c.d_lo)),
-        ("dHi", _fmt(c.d_hi)),
-        ("hLo", _fmt(c.h_lo)),
-        ("hHi", _fmt(c.h_hi)),
-        ("sigmaLo", _fmt(c.sigma_lo)),
-        ("sigmaHi", _fmt(c.sigma_hi)),
-        ("psiLo", _fmt(c.psi_lo)),
-        ("psiHi", _fmt(c.psi_hi)),
-        ("wlensLo", _fmt(c.wlens_lo)),
-        ("wconeLo", _fmt(c.wcone_lo)),
-        ("phiLo", _fmt(c.phi_lo)),
-        ("good", "true" if c.good else "false"),
-        ("margins", "[" + ", ".join(_fmt(m) for m in c.margins) + "]"),
-    ]
-    return "{" + ", ".join(f'"{k}": {v}' for k, v in pairs) + "}"
+def _certificate_obj(cert: PartitionCertificate) -> dict:
+    cells = [{key: getattr(c, attr) for key, attr in _CELL_FIELDS} for c in cert.cells]
+    return {"epsilon": cert.params.epsilon, "R": cert.params.R, "slack": cert.slack,
+            "cells": cells, "certifiedC": cert.certified_c, "cellCount": cert.cell_count}
 
 
 def certificate_to_json(cert: PartitionCertificate) -> str:
-    cells = ",\n    ".join(_cell_to_obj(c) for c in cert.cells)
-    return (
-        "{\n"
-        f'  "epsilon": {_fmt(cert.params.epsilon)},\n'
-        f'  "R": {_fmt(cert.params.R)},\n'
-        f'  "slack": {_fmt(cert.slack)},\n'
-        f'  "cells": [\n    {cells}\n  ],\n'
-        f'  "certifiedC": {_fmt(cert.certified_c)},\n'
-        f'  "cellCount": {cert.cell_count}\n'
-        "}\n"
-    )
+    return json.dumps(_certificate_obj(cert), allow_nan=False) + "\n"
+
+
+# The JSON types each field may take: type(True) is bool, so a boolean is not
+# a number here, and a bound that a non-good cell lacks is null.
+_NUMBER = frozenset((int, float))
+_CELL_TYPES = {"d_lo": _NUMBER, "d_hi": _NUMBER, "h_lo": _NUMBER, "h_hi": _NUMBER,
+               "good": frozenset((bool,)), "margins": frozenset((list,))}
+# (JSON key, name, JSON types) of each field that the loader reads
+_CELL_SCHEMA = tuple((key, attr, _CELL_TYPES.get(attr, _NUMBER | {type(None)}))
+                     for key, attr in _CELL_FIELDS)
+_CERTIFICATE_SCHEMA = (
+    ("epsilon", "epsilon", _NUMBER), ("R", "R", _NUMBER), ("slack", "slack", _NUMBER),
+    ("cells", "cells", frozenset((list,))),
+    ("certifiedC", "certified_c", _NUMBER), ("cellCount", "cell_count", _NUMBER),
+)
+
+
+def _read(where: str, obj: object, schema: tuple[tuple[str, str, frozenset], ...]) -> dict:
+    """The schema's fields of obj by name, a JSON int as a float.
+
+    obj must be a JSON object that holds every key with a value of its types,
+    or CertificationError names where and the key.
+    """
+    if type(obj) is not dict:
+        raise CertificationError(f"{where} is not a JSON object")
+    fields = {}
+    for key, name, types in schema:
+        value = obj.get(key)
+        if type(value) not in types or (value is None and key not in obj):
+            raise CertificationError(f"{where}: {key!r} is missing or has the wrong JSON type: {value!r}")
+        fields[name] = float(value) if type(value) is int else value
+    return fields
+
+
+def _cell_from_obj(where: str, obj: object) -> SubintervalCertificate:
+    fields = _read(where, obj, _CELL_SCHEMA)
+    margins = fields["margins"]
+    if len(margins) != 3 or not _NUMBER.issuperset(map(type, margins)):
+        raise CertificationError(f"{where}: 'margins' must be three JSON numbers: {margins!r}")
+    fields["margins"] = tuple(map(float, margins))
+    return SubintervalCertificate(**fields)
 
 
 def certificate_from_json(text: str) -> PartitionCertificate:
-    obj = json.loads(text)
-    params = CertifyParams(float(obj["epsilon"]), float(obj["R"]))
-    cells = []
-    for c in obj["cells"]:
-        opt = lambda k: None if c[k] is None else float(c[k])
-        cells.append(
-            SubintervalCertificate(
-                d_lo=float(c["dLo"]),
-                d_hi=float(c["dHi"]),
-                h_lo=float(c["hLo"]),
-                h_hi=float(c["hHi"]),
-                margins=(float(c["margins"][0]), float(c["margins"][1]), float(c["margins"][2])),
-                good=bool(c["good"]),
-                sigma_lo=opt("sigmaLo"),
-                sigma_hi=opt("sigmaHi"),
-                psi_lo=opt("psiLo"),
-                psi_hi=opt("psiHi"),
-                wlens_lo=opt("wlensLo"),
-                wcone_lo=opt("wconeLo"),
-                phi_lo=opt("phiLo"),
-            )
-        )
-    slack = float(obj["slack"])
-    _check_positive(slack=slack)
-    cert = _assemble(params, tuple(cells), slack)
-    if cert.certified_c != float(obj["certifiedC"]) or cert.cell_count != int(obj["cellCount"]):
+    """Load a certificate, checking the JSON type of every field and the tiling and summary fields.
+
+    A missing field or one of the wrong JSON type raises CertificationError
+    naming the cell and key.  The loader does not re-evaluate the cells.
+    """
+    top = _read("certificate", json.loads(text), _CERTIFICATE_SCHEMA)
+    params = CertifyParams(top["epsilon"], top["R"])
+    _check_positive(slack=top["slack"])
+    cells = tuple(_cell_from_obj(f"certificate cells[{i}]", c) for i, c in enumerate(top["cells"]))
+    cert = _assemble(params, cells, top["slack"])
+    if cert.certified_c != top["certified_c"] or cert.cell_count != top["cell_count"]:
         raise CertificationError("certificate summary fields do not match its cells")
     return cert
 
@@ -717,16 +720,6 @@ def certificate_from_json(text: str) -> PartitionCertificate:
 def certificate_to_csv(cert: PartitionCertificate) -> str:
     lines = [CSV_HEADER]
     for c in cert.cells:
-        m1, m2, m3 = c.margins
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.d_lo), _fmt(c.d_hi), _fmt(c.h_lo), _fmt(c.h_hi),
-                    _fmt(c.sigma_lo), _fmt(c.sigma_hi), _fmt(c.psi_lo), _fmt(c.psi_hi),
-                    _fmt(c.wlens_lo), _fmt(c.wcone_lo), _fmt(c.phi_lo),
-                    "true" if c.good else "false",
-                    _fmt(m1), _fmt(m2), _fmt(m3),
-                ]
-            )
-        )
+        values = [getattr(c, attr) for _, attr in _CELL_FIELDS[:-1]] + list(c.margins)
+        lines.append(",".join(str(v).lower() if type(v) is bool else _fmt(v) for v in values))
     return "\n".join(lines) + "\n"

@@ -1,13 +1,18 @@
 """Command-line front end: constants, verification, certification, optimization,
 bound queries and Monte-Carlo cross-checks, with json / csv / human output.
 
+JSON output is one line written by the json module, each real in its shortest
+round-trip form and a non-finite scalar as null; csv and human output give reals
+17 significant digits.  Either way parsing recovers the exact binary64 values.
+
 Exit codes: 0 success, 1 certification or cross-check failure, 2 invalid input.
-Every option can also be supplied through an HYPERCERT_-prefixed environment
-variable (e.g. HYPERCERT_FORMAT=json).
+Every global option can also be supplied through an HYPERCERT_-prefixed
+environment variable (e.g. HYPERCERT_FORMAT=json, HYPERCERT_QUAD_TOL=1e-12).
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 import warnings
@@ -48,61 +53,40 @@ def _emit(cfg: CliConfig, text: str) -> None:
         click.echo(text, nl=not text.endswith("\n"))
 
 
-def _json_float(x: float) -> str:
-    # JSON has no inf or nan literal
-    return _fmt(x) if math.isfinite(x) else "null"
+def _json(obj: dict) -> str:
+    """One JSON line; JSON has no inf or nan literal, so a non-finite real, alone or in a list, is null."""
+    null = lambda v: None if isinstance(v, float) and not math.isfinite(v) else v
+    return json.dumps({key: list(map(null, value)) if isinstance(value, list) else null(value)
+                       for key, value in obj.items()}, allow_nan=False) + "\n"
 
 
-def _scalar_json(items: list[tuple[str, object]]) -> str:
-    parts = []
-    for key, value in items:
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, int):
-            rendered = str(value)
-        elif isinstance(value, float):
-            rendered = _json_float(value)
-        elif isinstance(value, (list, tuple)):
-            rendered = "[" + ", ".join(_json_float(float(v)) for v in value) + "]"
-        else:
-            rendered = f'"{value}"'
-        parts.append(f'  "{key}": {rendered}')
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+def _scalar_text(value: object, list_sep: str) -> str:
+    """A scalar for the csv and human outputs: reals with 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, (list, tuple)):
+        return list_sep.join(_fmt(float(v)) for v in value)
+    return str(value)
 
 
 def _scalar_csv(items: list[tuple[str, object]]) -> str:
     lines = ["name,value"]
     for key, value in items:
-        if isinstance(value, bool):
-            lines.append(f"{key},{'true' if value else 'false'}")
-        elif isinstance(value, float):
-            lines.append(f"{key},{_fmt(value)}")
-        elif isinstance(value, (list, tuple)):
-            lines.append(f"{key},\"{';'.join(_fmt(float(v)) for v in value)}\"")
-        else:
-            lines.append(f"{key},{value}")
+        text = _scalar_text(value, ";")
+        lines.append(f'{key},"{text}"' if isinstance(value, (list, tuple)) else f"{key},{text}")
     return "\n".join(lines) + "\n"
 
 
 def _scalar_human(items: list[tuple[str, object]]) -> str:
     width = max(len(k) for k, _ in items)
-    lines = []
-    for key, value in items:
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = _fmt(value)
-        elif isinstance(value, (list, tuple)):
-            rendered = ", ".join(_fmt(float(v)) for v in value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key:<{width}}  {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key:<{width}}  {_scalar_text(value, ', ')}\n" for key, value in items)
 
 
 def _emit_scalars(cfg: CliConfig, items: list[tuple[str, object]]) -> None:
     if cfg.format == "json":
-        _emit(cfg, _scalar_json(items))
+        _emit(cfg, _json(dict(items)))
     elif cfg.format == "csv":
         _emit(cfg, _scalar_csv(items))
     else:
@@ -110,17 +94,10 @@ def _emit_scalars(cfg: CliConfig, items: list[tuple[str, object]]) -> None:
 
 
 def _certificate_human(cert: certify_mod.PartitionCertificate) -> str:
-    head = [
-        f"epsilon     {_fmt(cert.params.epsilon)}",
-        f"R           {_fmt(cert.params.R)}",
-        f"slack       {_fmt(cert.slack)}",
-        f"certifiedC  {_fmt(cert.certified_c)}",
-        f"cellCount   {cert.cell_count}",
-        "",
-        certify_mod.CSV_HEADER.replace(",", "  "),
-    ]
-    body = certify_mod.certificate_to_csv(cert).splitlines()[1:]
-    return "\n".join(head + [row.replace(",", "  ") for row in body]) + "\n"
+    head = _scalar_human([("epsilon", cert.params.epsilon), ("R", cert.params.R), ("slack", cert.slack),
+                          ("certifiedC", cert.certified_c), ("cellCount", cert.cell_count)])
+    rows = certify_mod.certificate_to_csv(cert).splitlines()
+    return head + "\n" + "\n".join(row.replace(",", "  ") for row in rows) + "\n"
 
 
 def _emit_certificate(cfg: CliConfig, cert: certify_mod.PartitionCertificate) -> None:
@@ -195,17 +172,15 @@ class _Group(click.Group):
 @click.option("--format", "-f", "fmt", type=click.Choice(["json", "csv", "human"]), default="human",
               show_default=True, envvar="HYPERCERT_FORMAT", help="Output format.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
-              envvar="HYPERCERT_OUTPUT", help="Write output to a file instead of stdout.")
+              help="Write output to a file instead of stdout.")
 @click.option("--quad-tol", type=float, default=density_mod.DEFAULT_QUADRATURE.abs_tol,
-              show_default=True, envvar="HYPERCERT_QUAD_TOL",
-              help="Absolute tolerance for the density quadrature.")
+              show_default=True, help="Absolute tolerance for the density quadrature.")
 @click.option("--slack", type=float, default=certify_mod.DEFAULT_SLACK, show_default=True,
-              envvar="HYPERCERT_SLACK",
               help="Decision slack subtracted before goodness/target comparisons.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              envvar="HYPERCERT_SEED", help="Seed for Monte-Carlo sampling.")
+              help="Seed for Monte-Carlo sampling.")
 @click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
-              envvar="HYPERCERT_SAMPLES", help="Sample count for Monte-Carlo estimates.")
+              help="Sample count for Monte-Carlo estimates.")
 @click.pass_context
 def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float,
          seed: int, samples: int) -> None:
@@ -281,7 +256,7 @@ def _certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float,
             click.echo(
                 f"witness cell [{_fmt(witness.d_lo)}, {_fmt(witness.d_hi)}] "
                 f"margins=({', '.join(_fmt(m) for m in witness.margins)}) "
-                f"phiLo={_fmt(witness.phi_lo) if witness.phi_lo is not None else 'null'}",
+                f"phiLo={_fmt(witness.phi_lo)}",
                 err=True,
             )
         sys.exit(1)
@@ -309,12 +284,19 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
             radii = [_parse_radius(grid)]
     except ValueError as exc:
         raise click.UsageError(f"cannot parse grid {grid!r}: {exc}")
-    try:
-        scan = certify_mod.optimize_radius(
-            eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
-        )
-    except certify_mod.CertificationError as exc:
-        click.echo(f"optimization failed: {exc}", err=True)
+    with warnings.catch_warnings(record=True) as skips:
+        # optimize_radius warns once per skipped radius; each becomes one plain line below
+        warnings.simplefilter("always")
+        try:
+            scan = certify_mod.optimize_radius(
+                eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
+            )
+        except certify_mod.CertificationError as exc:
+            scan, failure = None, exc
+    for w in skips:
+        click.echo(f"optimize: {w.message}", err=True)
+    if scan is None:
+        click.echo(f"optimization failed: {failure}", err=True)
         sys.exit(1)
     if cfg.format == "csv":
         lines = ["R,certifiedC,valenceBound"]
@@ -322,26 +304,14 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
         _emit(cfg, "\n".join(lines) + "\n")
         return
     if cfg.format == "json":
-        entries = ",\n    ".join(
-            f'{{"R": {_fmt(e.R)}, "certifiedC": {_fmt(e.certified_c)}, "valenceBound": {e.valence_bound}}}'
-            for e in scan.entries
-        )
-        skipped = ",\n    ".join(
-            f'{{"R": {_fmt(r)}, "reason": "{reason}"}}' for r, reason in scan.skipped
-        )
-        skipped_block = "\n    " + skipped + "\n  " if skipped else ""
-        best = scan.best
-        _emit(
-            cfg,
-            "{\n"
-            f'  "epsilon": {_fmt(scan.epsilon)},\n'
-            f'  "bHalfEps": {_fmt(scan.b_half_eps)},\n'
-            f'  "entries": [\n    {entries}\n  ],\n'
-            f'  "skipped": [{skipped_block}],\n'
-            f'  "best": {{"R": {_fmt(best.R)}, "certifiedC": {_fmt(best.certified_c)}, '
-            f'"valenceBound": {best.valence_bound}}}\n'
-            "}\n",
-        )
+        entry = lambda e: {"R": e.R, "certifiedC": e.certified_c, "valenceBound": e.valence_bound}
+        _emit(cfg, _json({
+            "epsilon": scan.epsilon,
+            "bHalfEps": scan.b_half_eps,
+            "entries": [entry(e) for e in scan.entries],
+            "skipped": [{"R": r, "reason": reason} for r, reason in scan.skipped],
+            "best": entry(scan.best),
+        }))
         return
     lines = [f"epsilon    {_fmt(scan.epsilon)}", f"bHalfEps   {_fmt(scan.b_half_eps)}", ""]
     lines.append("R                    certifiedC           valenceBound")

@@ -36,6 +36,16 @@ from hypercert import (
     verify_reference_partition,
 )
 
+_CELL_ATTRS = ("d_lo", "d_hi", "h_lo", "h_hi", "sigma_lo", "sigma_hi", "psi_lo", "psi_hi",
+               "wlens_lo", "wcone_lo", "phi_lo", "good", "margins")
+
+
+def _cells_digest(cert):
+    """SHA-256 of the repr of every cell's 13 fields and of certified_c: independent of any file layout."""
+    rows = [repr(tuple(getattr(c, attr) for attr in _CELL_ATTRS)) for c in cert.cells]
+    return hashlib.sha256("\n".join(rows + [repr(cert.certified_c)]).encode()).hexdigest()
+
+
 # strategies drawing parameters (eps, R = 2 eps + u eps / 2) and subcells of I
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _eps = st.floats(min_value=0.9, max_value=1.2, allow_nan=False)
@@ -272,10 +282,11 @@ class TestAdaptiveCertifier:
         assert cert.cell_count == 96
 
     def test_largest_certifiable_c_certificate_bits(self, ref_params):
-        # pins all 13 fields of the 96 cells, as rendered by certificate_to_json
+        # pins all 13 fields of the 96 cells
         _, cert = largest_certifiable_c(ref_params)
-        digest = hashlib.sha256(certificate_to_json(cert).encode()).hexdigest()
-        assert digest == "36c5a3f02ef7c20d505c97eb940b7d1ccbcc6676e50c3d36e8c3375aa496bc70"
+        assert _cells_digest(cert) == (
+            "dfbf79958d81975cb7c8590a0e153b60abd034a2eb8ac92009fc46dc94d0b692"
+        )
 
 
 _SLACK_ENTRY_POINTS = {
@@ -402,9 +413,14 @@ class TestOptimizeRadius:
 class TestSerialization:
     def test_reference_certificate_bits(self):
         # pins all 13 fields of the 47 reference cells
-        digest = hashlib.sha256(certificate_to_json(verify_reference_partition()).encode())
-        assert digest.hexdigest() == (
-            "b43689b3d4e2f200d2bd4b3206460bc30f1b89bf5b57c353d9d104caf7502bfd"
+        assert _cells_digest(verify_reference_partition()) == (
+            "14bfcd8e1d1d8b40ccd0ef80863821a51bbc32a4cf1ff2b8a35e6bbb6556c462"
+        )
+
+    def test_reference_csv_bytes(self):
+        text = certificate_to_csv(verify_reference_partition())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5fdaf38e69163f94c1a3e65dc5625db8dac30add412cb72bbe6d113321585f1d"
         )
 
     def test_json_round_trip_is_exact(self):
@@ -441,3 +457,51 @@ class TestSerialization:
         text = certificate_to_json(verify_reference_partition())
         with pytest.raises(CertificationError):
             certificate_from_json(text.replace('"cellCount": 47', '"cellCount": 46'))
+
+
+def _set(root, path, value):
+    """root with the entry at path set to value, or deleted when value is _DELETE."""
+    *head, last = path
+    obj = root
+    for key in head:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = value
+    return root
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize("edit, names", [
+    pytest.param(lambda o: _set(o, ("cells", 3, "good"), "false"), ("cells[3]", "'good'"),
+                 id="good-as-string"),
+    pytest.param(lambda o: _set(o, ("cells", 5, "good"), 1), ("cells[5]", "'good'"),
+                 id="good-as-number"),
+    pytest.param(lambda o: _set(o, ("cells", 7, "phiLo"), "0.6"), ("cells[7]", "'phiLo'"),
+                 id="phiLo-as-string"),
+    pytest.param(lambda o: _set(o, ("cells", 0, "dLo"), None), ("cells[0]", "'dLo'"),
+                 id="dLo-null"),
+    pytest.param(lambda o: _set(o, ("cells", 2, "hHi"), True), ("cells[2]", "'hHi'"),
+                 id="hHi-as-boolean"),
+    pytest.param(lambda o: _set(o, ("cells", 9, "sigmaLo"), _DELETE), ("cells[9]", "'sigmaLo'"),
+                 id="missing-cell-key"),
+    pytest.param(lambda o: _set(o, ("cells", 4, "margins"), [0.5]), ("cells[4]", "'margins'"),
+                 id="one-margin"),
+    pytest.param(lambda o: _set(o, ("cells", 4, "margins", 1), "0.5"), ("cells[4]", "'margins'"),
+                 id="margin-as-string"),
+    pytest.param(lambda o: _set(o, ("cells", 6), [1.0, 2.0]), ("cells[6]",), id="cell-not-object"),
+    pytest.param(lambda o: _set(o, ("slack",), _DELETE), ("'slack'",), id="missing-slack"),
+    pytest.param(lambda o: _set(o, ("epsilon",), "1.0986122886681098"), ("'epsilon'",),
+                 id="epsilon-as-string"),
+    pytest.param(lambda o: _set(o, ("cells",), {}), ("'cells'",), id="cells-not-array"),
+    pytest.param(lambda o: [o], ("not a JSON object",), id="top-level-array"),
+])
+def test_malformed_json_is_a_certification_error(edit, names):
+    # each used to load, or to raise KeyError, IndexError or TypeError
+    obj = edit(json.loads(certificate_to_json(verify_reference_partition())))
+    with pytest.raises(CertificationError) as info:
+        certificate_from_json(json.dumps(obj))
+    assert all(name in str(info.value) for name in names)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from click.testing import CliRunner
 from hypercert.cli import main
 
 LOG3 = math.log(3.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -20,6 +22,13 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def run_python(*argv):
+    """Run the interpreter on argv in a fresh process, which prints Python warnings as pytest does not."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
 
 
 class TestConstants:
@@ -70,6 +79,10 @@ class TestVerify:
         assert result.exit_code == 0
         assert json.loads(target.read_text())["cellCount"] == 47
 
+    def test_human_bytes(self, runner):
+        digest = hashlib.sha256(invoke(runner, "verify").stdout.encode()).hexdigest()
+        assert digest == "b46f359b67fb8d3060d5507b956aa2568551157886578e701b3df61eb68cd12e"
+
 
 class TestCertify:
     def test_reference_parameters_succeed(self, runner):
@@ -118,6 +131,23 @@ class TestOptimize:
         assert lines[0] == "R,certifiedC,valenceBound"
         assert len(lines) == 2
 
+    SKIPPING = ("optimize", "--epsilon", "1.0", "--grid", "9", "--max-depth", "1")
+
+    def test_skipped_radii_json(self, runner):
+        obj = json.loads(invoke(runner, "--format", "json", *self.SKIPPING).stdout)
+        assert [s["R"] for s in obj["skipped"]] == [2.05, 2.1, 2.15]
+        assert all("max depth 1 exhausted" in s["reason"] for s in obj["skipped"])
+        assert len(obj["entries"]) == 6
+
+    def test_skipped_radii_are_plain_stderr_lines(self, runner):
+        args = ["--format", "csv", *self.SKIPPING]
+        proc = run_python("-m", "hypercert.cli", *args)
+        assert proc.returncode == 0
+        assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
+        assert [line.split(":")[1] for line in proc.stderr.splitlines()] == [
+            " skipping R=2.05", " skipping R=2.1", " skipping R=2.15"]
+        assert proc.stdout == invoke(runner, *args).stdout
+
 
 class TestBound:
     def test_general_case(self, runner):
@@ -138,6 +168,10 @@ class TestBound:
         obj = json.loads(invoke(runner, "--format", "json", "bound",
                                 "--volume", "1.0", "--cusped", "false", "--prime", "2").output)
         assert obj["coefficientName"] == "lambda1CompactP2"
+
+    def test_integral_floats_stay_floats(self, runner):
+        obj = json.loads(invoke(runner, "--format", "json", "bound", "--volume", "1").output)
+        assert isinstance(obj["volume"], float) and isinstance(obj["smallRankBound"], float)
 
     def test_rank_mode(self, runner):
         result = invoke(runner, "--format", "json", "bound",
@@ -226,12 +260,8 @@ class TestMcCheck:
         assert "deviationSigmas  inf" in human.stdout
 
     def test_zero_hits_is_one_plain_stderr_line(self, runner):
-        # a fresh process, because pytest records Python warnings instead of printing them
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
         args = ["--samples", "1", "mc-check", "--shape", "cap"]
-        proc = subprocess.run([sys.executable, "-m", "hypercert.cli", *args], env=env,
-                              capture_output=True, text=True)
+        proc = run_python("-m", "hypercert.cli", *args)
         assert proc.returncode == 1
         assert "no hits" in proc.stderr
         assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
@@ -242,6 +272,7 @@ class TestMcCheck:
         obj = json.loads(invoke(runner, "--format", "json", "--samples", "1000",
                                 "mc-check", "--shape", "ball", "--params", "0.8").output)
         assert obj["deviationSigmas"] == 0.0
+        assert obj["standardError"] == 0.0 and isinstance(obj["standardError"], float)
 
     def test_bad_params_exit_two(self, runner):
         result = runner.invoke(main, ["mc-check", "--shape", "lens", "--params", "0.5,0.7,3.0"])
@@ -276,8 +307,23 @@ class TestEnvironmentOverrides:
         obj = json.loads(result.output)
         assert obj["valenceBound"] == 314
 
+    def test_output_from_env(self, runner, tmp_path):
+        target = tmp_path / "cert.json"
+        result = runner.invoke(main, ["--format", "json", "verify"],
+                               env={"HYPERCERT_OUTPUT": str(target)}, catch_exceptions=False)
+        assert result.output == ""
+        assert json.loads(target.read_text())["cellCount"] == 47
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+    @pytest.mark.parametrize("var, value, args, key", [
+        ("HYPERCERT_QUAD_TOL", "1e-9", ["constants"], "quadratureTolerance"),
+        ("HYPERCERT_SLACK", "1e-8", ["verify"], "slack"),
+        ("HYPERCERT_SEED", "5", ["--samples", "1000", "mc-check", "--shape", "ball"], "seed"),
+        ("HYPERCERT_SAMPLES", "1000", ["mc-check", "--shape", "ball"], "samples"),
+    ])
+    def test_option_from_env(self, runner, var, value, args, key):
+        result = runner.invoke(main, ["--format", "json", *args], env={var: value},
+                               catch_exceptions=False)
+        assert json.loads(result.output)[key] == float(value)
 
 IMPORT_PROBE = """
 import sys
@@ -291,10 +337,8 @@ print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_numpy(self):
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
-                              capture_output=True, text=True, check=True)
+        proc = run_python("-c", IMPORT_PROBE)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
     def test_mcoracle_names_still_resolve(self):
