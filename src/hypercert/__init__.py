@@ -14,74 +14,11 @@ use, so the rest of the package starts without numpy.
 import importlib
 import types
 
-from .hypgeo import (
-    DomainError,
-    ball_volume,
-    cap_volume,
-    eta,
-    sigma,
-    lens_volume,
-    omega,
-    theta,
-    psi,
-    cone_volume,
-    phi,
-    in_lens_domain,
-    in_phi_domain,
-)
-from .density import (
-    QuadratureConfig,
-    QuadratureError,
-    DEFAULT_QUADRATURE,
-    dihedral_beta,
-    simplex_volume_tau,
-    packing_density,
-    b_ratio,
-    circumradius_h3,
-)
-from .certify import (
-    CertificationError,
-    CertifyParams,
-    BoundPair,
-    SubintervalCertificate,
-    PartitionCertificate,
-    CertificationResult,
-    RadiusScan,
-    RadiusGridEntry,
-    REFERENCE_EPSILON,
-    REFERENCE_RADIUS,
-    REFERENCE_TARGET_C,
-    reference_params,
-    reference_breakpoints,
-    h_bounds,
-    goodness_margins,
-    sigma_bounds,
-    psi_bounds,
-    phi_lower,
-    verify_reference_partition,
-    certify_lower_bound,
-    largest_certifiable_c,
-    radius_grid,
-    optimize_radius,
-    certificate_to_json,
-    certificate_from_json,
-    certificate_to_csv,
-)
-from .bounds import (
-    RankBoundReport,
-    HomologyBoundQuery,
-    rank_bound,
-    rank_bound_report,
-    report_to_json,
-    reference_valence_bound,
-    lambda0,
-    lambda1,
-    lambda1_noncompact,
-    lambda1_compact_p2,
-    homology_coefficient,
-    homology_bound,
-    small_rank_bound,
-)
+from .hypgeo import *
+from .density import *
+from .certify import *
+from .bounds import *
+
 # mcoracle's names, resolved on first access by __getattr__ below
 _MCORACLE_NAMES = (
     "McEstimate",
@@ -103,7 +40,8 @@ _MCORACLE_NAMES = (
 
 __version__ = "0.1.0"
 
-# Every name imported above, then mcoracle's, so a star import still has them all.
+# Every name of the four modules' __all__ imported above, then mcoracle's, so a
+# star import still has them all.
 __all__ = [name for name, value in list(globals().items())
            if not name.startswith("_") and not isinstance(value, types.ModuleType)]
 __all__ += _MCORACLE_NAMES

@@ -26,6 +26,11 @@ c = 0.496 at eps = log 3, R = 2 log 3 + 0.15, an adaptive certifier for
 arbitrary targets, and a radius optimizer that minimizes the resulting
 valence bound floor((B(R) - b(eps/2)) / c).
 
+A certificate is one description of its cells: the reference partition and
+the JSON loader both hand breakpoints to _tile, which evaluates every cell
+with phi_lower.  The loader reads only epsilon, R, slack and the breakpoints
+from a file; every other stored field must equal what phi_lower gives.
+
 The adaptive certifier bisects cells depth-first and, at each split,
 refines the weaker half (the lower phi_lo; a non-good cell is weakest)
 first.  Every search keeps a memo of the cells it has evaluated, keyed by
@@ -148,8 +153,7 @@ class BoundPair(NamedTuple):
     hi: float
 
 
-@dataclass(frozen=True)
-class SubintervalCertificate:
+class SubintervalCertificate(NamedTuple):
     """Endpoint bounds for one cell [d_lo, d_hi] of the partition.
 
     margins holds the three goodness quantities (H- + 1,
@@ -375,19 +379,30 @@ def _assemble(
     cells: tuple[SubintervalCertificate, ...],
     slack: float,
 ) -> PartitionCertificate:
-    lo, hi = params.interval
-    if not cells:
-        raise CertificationError("empty cell list")
-    if cells[0].d_lo != lo or cells[-1].d_hi != hi:
-        raise CertificationError("cells do not span the certified interval exactly")
-    for a, b in zip(cells, cells[1:]):
-        if a.d_hi != b.d_lo:
-            raise CertificationError(f"gap or overlap between cells at {a.d_hi} vs {b.d_lo}")
-    bad = [c for c in cells if not c.good or c.phi_lo is None]
-    if bad:
-        raise CertificationError(f"non-good cell [{bad[0].d_lo}, {bad[0].d_hi}] in partition")
+    """The certificate of cells that tile I in order; each must be good."""
+    for i, cell in enumerate(cells):
+        if not cell.good:
+            raise CertificationError(
+                f"cell {i} [{cell.d_lo}, {cell.d_hi}] is not good; margins={cell.margins}"
+            )
     certified_c = min(c.phi_lo for c in cells)  # type: ignore[type-var]
     return PartitionCertificate(params=params, slack=slack, cells=cells, certified_c=certified_c)
+
+
+def _tile(params: CertifyParams, breakpoints: Sequence[float], slack: float) -> PartitionCertificate:
+    """The certificate whose cells phi_lower evaluates between consecutive breakpoints.
+
+    The breakpoints must run from d_min to eps, or CertificationError is
+    raised; phi_lower raises DomainError if they do not rise strictly.
+    """
+    lo, hi = params.interval
+    if breakpoints[0] != lo or breakpoints[-1] != hi:
+        raise CertificationError(
+            f"breakpoints [{breakpoints[0]}, ..., {breakpoints[-1]}] do not span "
+            f"the certified interval [{lo}, {hi}] exactly"
+        )
+    cells = tuple(phi_lower(params, a, b, slack) for a, b in zip(breakpoints, breakpoints[1:]))
+    return _assemble(params, cells, slack)
 
 
 def reference_params() -> CertifyParams:
@@ -408,15 +423,7 @@ def verify_reference_partition(slack: float = DEFAULT_SLACK) -> PartitionCertifi
     certified constant does not exceed 0.496.
     """
     _check_positive(slack=slack)
-    params = reference_params()
-    pts = reference_breakpoints()
-    cells = tuple(phi_lower(params, a, b, slack) for a, b in zip(pts[:-1], pts[1:]))
-    for i, cell in enumerate(cells, start=1):
-        if not cell.good:
-            raise CertificationError(
-                f"reference cell {i} [{cell.d_lo}, {cell.d_hi}] is not good; margins={cell.margins}"
-            )
-    cert = _assemble(params, cells, slack)
+    cert = _tile(reference_params(), reference_breakpoints(), slack)
     if not cert.certified_c - slack > REFERENCE_TARGET_C:
         raise CertificationError(
             f"reference partition certifies only {cert.certified_c}, not > {REFERENCE_TARGET_C}"
@@ -660,60 +667,59 @@ def certificate_to_json(cert: PartitionCertificate) -> str:
     return json.dumps(_certificate_obj(cert), allow_nan=False) + "\n"
 
 
-# The JSON types each field may take: type(True) is bool, so a boolean is not
-# a number here, and a bound that a non-good cell lacks is null.
-_NUMBER = frozenset((int, float))
-_CELL_TYPES = {"d_lo": _NUMBER, "d_hi": _NUMBER, "h_lo": _NUMBER, "h_hi": _NUMBER,
-               "good": frozenset((bool,)), "margins": frozenset((list,))}
-# (JSON key, name, JSON types) of each field that the loader reads
-_CELL_SCHEMA = tuple((key, attr, _CELL_TYPES.get(attr, _NUMBER | {type(None)}))
-                     for key, attr in _CELL_FIELDS)
-_CERTIFICATE_SCHEMA = (
-    ("epsilon", "epsilon", _NUMBER), ("R", "R", _NUMBER), ("slack", "slack", _NUMBER),
-    ("cells", "cells", frozenset((list,))),
-    ("certifiedC", "certified_c", _NUMBER), ("cellCount", "cell_count", _NUMBER),
-)
-
-
-def _read(where: str, obj: object, schema: tuple[tuple[str, str, frozenset], ...]) -> dict:
-    """The schema's fields of obj by name, a JSON int as a float.
-
-    obj must be a JSON object that holds every key with a value of its types,
-    or CertificationError names where and the key.
-    """
+def _real(where: str, obj: object, key: str) -> float:
+    """obj[key], a JSON real: certificate_to_json writes every real with a point or an exponent."""
     if type(obj) is not dict:
         raise CertificationError(f"{where} is not a JSON object")
-    fields = {}
-    for key, name, types in schema:
-        value = obj.get(key)
-        if type(value) not in types or (value is None and key not in obj):
-            raise CertificationError(f"{where}: {key!r} is missing or has the wrong JSON type: {value!r}")
-        fields[name] = float(value) if type(value) is int else value
-    return fields
+    value = obj.get(key)
+    if type(value) is not float:
+        raise CertificationError(f"{where}: {key!r} is missing or not a JSON real: {value!r}")
+    return value
 
 
-def _cell_from_obj(where: str, obj: object) -> SubintervalCertificate:
-    fields = _read(where, obj, _CELL_SCHEMA)
-    margins = fields["margins"]
-    if len(margins) != 3 or not _NUMBER.issuperset(map(type, margins)):
-        raise CertificationError(f"{where}: 'margins' must be three JSON numbers: {margins!r}")
-    fields["margins"] = tuple(map(float, margins))
-    return SubintervalCertificate(**fields)
+def _same(stored: object, value: object) -> bool:
+    """stored, a parsed JSON value, is value with the same JSON type: 1 matches neither 1.0 nor true."""
+    if type(value) is tuple:
+        return type(stored) is list and len(stored) == len(value) and all(map(_same, stored, value))
+    return type(stored) is type(value) and stored == value
+
+
+_MISSING = object()
 
 
 def certificate_from_json(text: str) -> PartitionCertificate:
-    """Load a certificate, checking the JSON type of every field and the tiling and summary fields.
+    """Load a certificate by re-deriving it with phi_lower.
 
-    A missing field or one of the wrong JSON type raises CertificationError
-    naming the cell and key.  The loader does not re-evaluate the cells.
+    Only epsilon, R, slack and the breakpoints (each cell's dLo and the last
+    dHi) are read; the cells between the breakpoints are evaluated again.
+    Every other stored field, certifiedC and cellCount must equal the
+    re-derived value with the same JSON type, or CertificationError names the
+    first cell and key that differ.  The stored numbers are compared, never
+    used, so a loaded certificate is exactly what the cell core computes.
     """
-    top = _read("certificate", json.loads(text), _CERTIFICATE_SCHEMA)
-    params = CertifyParams(top["epsilon"], top["R"])
-    _check_positive(slack=top["slack"])
-    cells = tuple(_cell_from_obj(f"certificate cells[{i}]", c) for i, c in enumerate(top["cells"]))
-    cert = _assemble(params, cells, top["slack"])
-    if cert.certified_c != top["certified_c"] or cert.cell_count != top["cell_count"]:
-        raise CertificationError("certificate summary fields do not match its cells")
+    top = json.loads(text)
+    epsilon, R, slack = (_real("certificate", top, key) for key in ("epsilon", "R", "slack"))
+    params = CertifyParams(epsilon, R)
+    _check_positive(slack=slack)
+    cells = top.get("cells")
+    if type(cells) is not list or not cells:
+        raise CertificationError(f"certificate: 'cells' is not a non-empty JSON array: {cells!r}")
+    breakpoints = [_real(f"certificate cells[{i}]", c, "dLo") for i, c in enumerate(cells)]
+    breakpoints.append(_real(f"certificate cells[{len(cells) - 1}]", cells[-1], "dHi"))
+    try:
+        cert = _tile(params, breakpoints, slack)
+    except DomainError as exc:
+        raise CertificationError(f"certificate breakpoints do not tile the interval: {exc}") from exc
+    for i, (obj, cell) in enumerate(zip(cells, cert.cells)):
+        for key, attr in _CELL_FIELDS:
+            value = getattr(cell, attr)
+            if not _same(obj.get(key, _MISSING), value):
+                raise CertificationError(f"certificate cells[{i}]: {key!r} is {obj.get(key, 'missing')!r}, "
+                                         f"but phi_lower gives {value!r}")
+    for key, value in (("certifiedC", cert.certified_c), ("cellCount", cert.cell_count)):
+        if not _same(top.get(key, _MISSING), value):
+            raise CertificationError(f"certificate: {key!r} is {top.get(key, 'missing')!r}, "
+                                     f"but its cells give {value!r}")
     return cert
 
 

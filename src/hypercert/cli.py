@@ -155,13 +155,17 @@ def _parse_radius(text: str) -> float:
 
 
 class _Command(click.Command):
-    """A subcommand whose DomainError from the library is a usage error (exit 2)."""
+    """A subcommand whose DomainError from the library is a usage error (exit 2), and whose
+    QuadratureError is one stderr line and exit 1."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except hypgeo.DomainError as exc:
             raise click.UsageError(str(exc), ctx) from exc
+        except density_mod.QuadratureError as exc:
+            click.echo(f"quadrature failure: {exc}", err=True)
+            sys.exit(1)
 
 
 class _Group(click.Group):
@@ -195,27 +199,20 @@ def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, s
 @click.pass_obj
 def constants(cfg: CliConfig) -> None:
     """Reproduce the headline constants at the reference parameters."""
-    try:
-        quad = cfg.quad_cfg
-        half = 0.5 * certify_mod.REFERENCE_EPSILON
-        b_half = density_mod.b_ratio(half, quad)
-        d_half = density_mod.packing_density(half, quad)
-        lam0 = bounds_mod.lambda0(quad)
-        valence = bounds_mod.reference_valence_bound(quad)
-        quotient = (hypgeo.ball_volume(certify_mod.REFERENCE_RADIUS) - b_half) / certify_mod.REFERENCE_TARGET_C
-    except density_mod.QuadratureError as exc:
-        click.echo(f"quadrature failure: {exc}", err=True)
-        sys.exit(1)
+    quad = cfg.quad_cfg
+    half = 0.5 * certify_mod.REFERENCE_EPSILON
+    b_half = density_mod.b_ratio(half, quad)
+    quotient = (hypgeo.ball_volume(certify_mod.REFERENCE_RADIUS) - b_half) / certify_mod.REFERENCE_TARGET_C
     items: list[tuple[str, object]] = [
         ("BHalfEps", hypgeo.ball_volume(half)),
         ("bHalfEps", b_half),
-        ("dHalfEps", d_half),
-        ("lambda0", lam0),
+        ("dHalfEps", density_mod.packing_density(half, quad)),
+        ("lambda0", bounds_mod.lambda0(quad)),
         ("lambda1", bounds_mod.lambda1(quad)),
         ("lambda1Noncompact", bounds_mod.lambda1_noncompact(quad)),
         ("lambda1CompactP2", bounds_mod.lambda1_compact_p2(quad)),
         ("valenceQuotient", quotient),
-        ("valenceBound", valence),
+        ("valenceBound", bounds_mod.reference_valence_bound(quad)),
         ("quadratureTolerance", quad.abs_tol),
     ]
     _emit_scalars(cfg, items)

@@ -423,12 +423,13 @@ class TestSerialization:
             "5fdaf38e69163f94c1a3e65dc5625db8dac30add412cb72bbe6d113321585f1d"
         )
 
-    def test_json_round_trip_is_exact(self):
-        cert = verify_reference_partition()
-        text = certificate_to_json(cert)
-        back = certificate_from_json(text)
-        assert back == cert
-        assert certificate_to_json(back) == text
+    def test_json_round_trip_is_exact(self, ref_params):
+        # the 47 reference cells and the 96 cells of the largest certifiable c
+        for cert in (verify_reference_partition(), largest_certifiable_c(ref_params)[1]):
+            text = certificate_to_json(cert)
+            back = certificate_from_json(text)
+            assert back == cert
+            assert certificate_to_json(back) == text
 
     def test_json_schema_fields(self):
         obj = json.loads(certificate_to_json(verify_reference_partition()))
@@ -472,6 +473,14 @@ def _set(root, path, value):
     return root
 
 
+def _forge_phi_lo(root, value):
+    """root with every cell's phiLo and certifiedC set to value."""
+    for cell in root["cells"]:
+        cell["phiLo"] = value
+    root["certifiedC"] = value
+    return root
+
+
 _DELETE = object()
 
 
@@ -498,10 +507,20 @@ _DELETE = object()
                  id="epsilon-as-string"),
     pytest.param(lambda o: _set(o, ("cells",), {}), ("'cells'",), id="cells-not-array"),
     pytest.param(lambda o: [o], ("not a JSON object",), id="top-level-array"),
+    # well-typed but false: the loader re-derives every cell and compares
+    pytest.param(lambda o: _forge_phi_lo(o, 0.9), ("cells[0]", "'phiLo'"), id="forged-phiLo"),
+    pytest.param(lambda o: _set(o, ("cells", 8, "margins"), [-1.0, -1.0, -1.0]),
+                 ("cells[8]", "'margins'"), id="negative-margins"),
+    pytest.param(lambda o: _set(o, ("cells", 11, "phiLo"), math.nan), ("cells[11]", "'phiLo'"),
+                 id="phiLo-NaN"),
+    pytest.param(lambda o: _set(o, ("cells", 12, "dLo"), 10 ** 400), ("cells[12]", "'dLo'"),
+                 id="dLo-huge-int"),
+    pytest.param(lambda o: _set(o, ("cells", 13, "good"), False), ("cells[13]", "'good'"),
+                 id="good-flipped"),
 ])
 def test_malformed_json_is_a_certification_error(edit, names):
-    # each used to load, or to raise KeyError, IndexError or TypeError
+    # each used to load, or to raise KeyError, IndexError, TypeError or OverflowError
     obj = edit(json.loads(certificate_to_json(verify_reference_partition())))
     with pytest.raises(CertificationError) as info:
-        certificate_from_json(json.dumps(obj))
+        certificate_from_json(json.dumps(obj))  # writes a nan as the literal NaN
     assert all(name in str(info.value) for name in names)

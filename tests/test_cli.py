@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from hypercert import QuadratureError
 from hypercert.cli import main
 
 LOG3 = math.log(3.0)
@@ -294,10 +295,17 @@ class TestMcCheck:
 
 
 class TestQuadratureFailure:
-    def test_constants_exits_nonzero(self, runner):
-        result = runner.invoke(main, ["--quad-tol", "1e-30", "constants"])
+    @pytest.mark.parametrize("args", [
+        ["constants"],
+        ["bound", "--volume", "1"],
+        ["optimize", "--epsilon", "log3", "--grid", "1"],
+    ], ids=["constants", "bound", "optimize"])
+    def test_exits_nonzero(self, runner, args):
+        # bound and optimize used to end on a QuadratureError traceback
+        result = runner.invoke(main, ["--quad-tol", "1e-300", *args])
         assert result.exit_code == 1
-        assert "quadrature" in result.output.lower()
+        assert "quadrature failure" in result.output
+        assert not isinstance(result.exception, QuadratureError)
 
 
 class TestEnvironmentOverrides:
