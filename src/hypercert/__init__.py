@@ -24,6 +24,7 @@ _MCORACLE_NAMES = (
     "McEstimate",
     "BASEPOINT",
     "minkowski_dot",
+    "assert_on_sheet",
     "hdist",
     "hpoint",
     "axis_point",

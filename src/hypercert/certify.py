@@ -697,7 +697,10 @@ def certificate_from_json(text: str) -> PartitionCertificate:
     first cell and key that differ.  The stored numbers are compared, never
     used, so a loaded certificate is exactly what the cell core computes.
     """
-    top = json.loads(text)
+    try:
+        top = json.loads(text)
+    except ValueError as exc:  # not JSON, or an integer past the int-to-str digit limit
+        raise CertificationError(f"certificate is not readable JSON: {exc}") from exc
     epsilon, R, slack = (_real("certificate", top, key) for key in ("epsilon", "R", "slack"))
     params = CertifyParams(epsilon, R)
     _check_positive(slack=slack)

@@ -17,6 +17,7 @@ The building blocks:
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "DomainError",
@@ -40,6 +41,9 @@ __all__ = [
 # angles, tangency); anything further out is a genuine domain violation.
 ACOSH_SLOP = 1e-12
 
+# ball_volume(r) = pi (sinh 2r - 2r) stays below a quarter of the largest binary64 up to this radius
+MAX_RADIUS = 0.5 * math.asinh(0.25 * sys.float_info.max)
+
 
 class DomainError(ValueError):
     """An input lies outside the geometric domain of a formula."""
@@ -61,6 +65,10 @@ def _check_positive(**values: float) -> None:
     for name, v in values.items():
         if v <= 0.0:
             raise DomainError(f"{name} must be positive, got {v!r}")
+
+
+def _too_large(r: float) -> None:
+    raise DomainError(f"r must be at most {MAX_RADIUS}, as sinh 2r overflows near there; got {r!r}")
 
 
 def acosh_clamped(x: float) -> float:
@@ -87,6 +95,8 @@ def _asin_clamped(x: float) -> float:
 def ball_volume(r: float) -> float:
     """Volume pi*(sinh(2r) - 2r) of a ball of radius r > 0."""
     _check_positive(r=r)
+    if r > MAX_RADIUS:
+        _too_large(r)
     return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
 
 
@@ -103,6 +113,8 @@ def cap_volume(r: float, w: float) -> float:
     """
     _check_positive(r=r)
     _check_finite(w=w)
+    if r > MAX_RADIUS:
+        _too_large(r)
     if w >= r:
         return 0.0
     if w <= -r:

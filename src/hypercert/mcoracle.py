@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import DomainError, ball_volume, omega, psi, theta
+from .hypgeo import MAX_RADIUS, DomainError, ball_volume, omega, psi, theta
 
 __all__ = [
     "BASEPOINT",
@@ -59,7 +59,10 @@ class McEstimate:
 
 def minkowski_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """<u, v> with signature (+,-,-,-); broadcasts over leading axes."""
-    return u[..., 0] * v[..., 0] - np.sum(u[..., 1:] * v[..., 1:], axis=-1)
+    # column by column, with no (..., 4) temporaries; the space terms add in
+    # the order np.sum(axis=-1) adds them
+    x = [u[..., k] * v[..., k] for k in range(4)]
+    return x[0] - (x[1] + x[2] + x[3])
 
 
 def assert_on_sheet(p: np.ndarray, tol: float = ON_SHEET_TOL) -> None:
@@ -84,6 +87,14 @@ def axis_point(t: float) -> np.ndarray:
     return np.array([math.cosh(t), math.sinh(t), 0.0, 0.0])
 
 
+def _dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # hdist without the on-sheet checks, for callers that have made them
+    p, q = np.asarray(p), np.asarray(q)
+    x = [(p[..., k] - q[..., k]) ** 2 for k in range(4)]
+    sq = x[1] + x[2] + x[3] - x[0]
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(sq, 0.0)))
+
+
 def hdist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hyperbolic distance arccosh(<p, q>); validates both inputs on-sheet.
 
@@ -93,46 +104,84 @@ def hdist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     assert_on_sheet(p)
     assert_on_sheet(q)
-    diff = p - q
-    sq = np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(sq, 0.0)))
+    return _dist(p, q)
 
 
-def _renormalize(p: np.ndarray) -> np.ndarray:
-    p[..., 0] = np.sqrt(1.0 + np.sum(p[..., 1:] ** 2, axis=-1))
-    return p
+_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def translate_to(points: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Apply the hyperbolic translation carrying the basepoint to target.
 
     Uses the Lorentz boost T(x) = x + 2<x,u>v - <x,u+v>/(1+<u,v>) (u+v) with
-    u the basepoint and v the target; outputs are renormalized back onto the
-    sheet to shed roundoff.
+    u the basepoint and v the target, as one 4x4 matrix acting on row
+    vectors; outputs are renormalized back onto the sheet to shed roundoff.
     """
     assert_on_sheet(target)
     u = BASEPOINT
     v = np.asarray(target, dtype=float)
     s = u + v
     g = 1.0 + minkowski_dot(u, v)
-    xu = minkowski_dot(points, u)
-    xs = minkowski_dot(points, s)
-    out = points + 2.0 * xu[..., None] * v - (xs / g)[..., None] * s
-    return _renormalize(out)
+    # <x,y> = x . (_SIGNATURE * y), so T(x) = x @ boost
+    boost = np.eye(4) + 2.0 * np.outer(_SIGNATURE * u, v) - np.outer(_SIGNATURE * s, s) / g
+    out = points @ boost
+    out[..., 0] = np.sqrt(1.0 + (out[..., 1] ** 2 + out[..., 2] ** 2 + out[..., 3] ** 2))
+    return out
+
+
+# (sinh x - x) / x^3 = sum_k x^(2k) / (2k + 3)!.  Below x = 0.5 these seven
+# terms give sinh x - x to a rounding; there sinh x - x cancels.
+_SERIES = tuple(1.0 / math.factorial(2 * k + 3) for k in range(7))
+_SERIES_BELOW = 0.5
+
+# Newton steps in _radial_inverse: enough to reach a rounding from either
+# upper bound, at every radius up to the overflow of sinh 2r.
+_NEWTON_STEPS = 5
+_TINY = np.finfo(float).tiny
+
+
+def _sinh_minus_x(x: np.ndarray, out: np.ndarray | None = None,
+                  tmp: np.ndarray | None = None) -> np.ndarray:
+    """sinh x - x for x >= 0, into out if given, with tmp as scratch of x's shape."""
+    if out is None:
+        out, tmp = np.empty_like(x), np.empty_like(x)
+    np.multiply(x, x, out=tmp)
+    np.multiply(tmp, _SERIES[-1], out=out)
+    for c in _SERIES[-2:0:-1]:
+        out += c
+        out *= tmp
+    out += _SERIES[0]
+    out *= tmp
+    out *= x
+    np.sinh(x, out=tmp)
+    tmp -= x
+    np.copyto(out, tmp, where=x >= _SERIES_BELOW)
+    return out
 
 
 def _radial_inverse(u: np.ndarray, radius: float) -> np.ndarray:
-    # Invert the radial CDF (sinh 2t - 2t) / (sinh 2r - 2r) by bisection;
-    # 52 halvings pin t to one ulp of the radius scale.
-    target = u * (math.sinh(2.0 * radius) - 2.0 * radius)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, radius)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        below = np.sinh(2.0 * mid) - 2.0 * mid < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    # Invert the radial CDF (sinh 2t - 2t) / (sinh 2r - 2r) by Newton's method
+    # on f(t) = sinh 2t - 2t = T, where f' = 4 sinh^2 t.  f is convex and
+    # increasing, so Newton's method falls monotonically onto the root from
+    # any upper bound.  Two are at hand: f(t) >= 4t^3/3 gives cbrt(3T/4), and
+    # sinh 2t = T + 2t <= T + 2r gives asinh(T + 2r) / 2; each is the tighter
+    # one at one end of [0, r].
+    target = u * float(_sinh_minus_x(np.float64(2.0 * radius)))
+    t = np.cbrt(0.75 * target)
+    np.minimum(t, 0.5 * np.arcsinh(target + 2.0 * radius), out=t)
+    x, f, df = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    for _ in range(_NEWTON_STEPS):
+        np.multiply(t, 2.0, out=x)
+        _sinh_minus_x(x, f, df)
+        f -= target
+        np.sinh(t, out=df)
+        df *= df
+        df *= 4.0
+        # at u = 0, t = 0 and f' = 0: keep t there
+        np.maximum(df, _TINY, out=df)
+        f /= df
+        t -= f
+    return np.clip(t, 0.0, radius, out=t)
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.ndarray:
@@ -143,8 +192,9 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.
     reproduces the identical stream.
     """
     assert_on_sheet(center)
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise DomainError(f"radius must be positive, got {radius!r}")
+    if not 0.0 < radius <= MAX_RADIUS:
+        raise DomainError(f"radius must be positive and at most {MAX_RADIUS}, as sinh 2r "
+                          f"overflows near there; got {radius!r}")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if not 0 <= seed < 2**64:
@@ -181,27 +231,47 @@ def estimate_volume(predicate, center: np.ndarray, radius: float, count: int, se
 # --- membership predicates ----------------------------------------------------
 #
 # Each takes points of shape (..., 4) and returns a boolean array of shape
-# (...,).  Boundaries are measure zero, so comparisons are exact.
+# (...,).  Boundaries are measure zero, so comparisons are exact.  Each public
+# predicate checks p and its anchor points on-sheet once, then works through
+# the unchecked helpers below.
 
 
-def in_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
-    """Envelope: the ball itself."""
-    return hdist(p, center) <= radius
+def _on_sheet(*points: np.ndarray) -> None:
+    for q in points:
+        assert_on_sheet(q)
 
 
 def _cos_angle_at(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # cosine of the angle at anchor between the geodesics anchor->p and
     # anchor->toward, by the hyperbolic law of cosines; p == anchor gets
     # cosine 1 (the apex belongs to every cone).  Returns (cos, dist(anchor,p)).
-    d_ax = float(hdist(anchor, toward))
+    d_ax = float(_dist(anchor, toward))
     if d_ax <= 0.0:
         raise DomainError("degenerate axis: anchor and toward coincide")
-    d_p = hdist(p, anchor)
-    d_pt = hdist(p, toward)
+    d_p = _dist(p, anchor)
+    d_pt = _dist(p, toward)
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_ang = (np.cosh(d_p) * math.cosh(d_ax) - np.cosh(d_pt)) / (np.sinh(d_p) * math.sinh(d_ax))
     cos_ang = np.where(d_p < 1e-14, 1.0, np.clip(cos_ang, -1.0, 1.0))
     return cos_ang, d_p
+
+
+def _halfspace(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray, offset: float) -> np.ndarray:
+    cos_ang, d_p = _cos_angle_at(p, anchor, toward)
+    return np.tanh(d_p) * cos_ang >= math.tanh(offset)
+
+
+def _cone(p: np.ndarray, apex: np.ndarray, toward: np.ndarray, gen_length: float,
+          angle: float) -> np.ndarray:
+    cos_ang, d_p = _cos_angle_at(p, apex, toward)
+    axis_len = psi(gen_length, angle)
+    return (cos_ang >= math.cos(angle)) & (np.tanh(d_p) * cos_ang <= math.tanh(axis_len))
+
+
+def in_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Envelope: the ball itself."""
+    _on_sheet(p, center)
+    return _dist(p, center) <= radius
 
 
 def in_halfspace(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray, offset: float) -> np.ndarray:
@@ -210,8 +280,8 @@ def in_halfspace(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray, offset: 
     The axial coordinate t of p satisfies tanh t = tanh(dist(anchor, p)) * cos(angle),
     the projection formula for a hyperbolic right triangle.
     """
-    cos_ang, d_p = _cos_angle_at(p, anchor, toward)
-    return np.tanh(d_p) * cos_ang >= math.tanh(offset)
+    _on_sheet(p, anchor, toward)
+    return _halfspace(p, anchor, toward, offset)
 
 
 def in_cap(
@@ -221,14 +291,16 @@ def in_cap(
 
     Envelope: ball(center, radius).
     """
-    return in_ball(p, center, radius) & in_halfspace(p, center, toward, w)
+    _on_sheet(p, center, toward)
+    return (_dist(p, center) <= radius) & _halfspace(p, center, toward, w)
 
 
 def in_lens(
     p: np.ndarray, c1: np.ndarray, r1: float, c2: np.ndarray, r2: float
 ) -> np.ndarray:
     """Intersection of two balls.  Envelope: the smaller ball."""
-    return in_ball(p, c1, r1) & in_ball(p, c2, r2)
+    _on_sheet(p, c1, c2)
+    return (_dist(p, c1) <= r1) & (_dist(p, c2) <= r2)
 
 
 def in_cone(
@@ -239,9 +311,8 @@ def in_cone(
     The base plane sits at axial distance psi(gen_length, angle) from the
     apex along the axis through toward.  Envelope: ball(apex, gen_length).
     """
-    cos_ang, d_p = _cos_angle_at(p, apex, toward)
-    axis_len = psi(gen_length, angle)
-    return (cos_ang >= math.cos(angle)) & (np.tanh(d_p) * cos_ang <= math.tanh(axis_len))
+    _on_sheet(p, apex, toward)
+    return _cone(p, apex, toward, gen_length, angle)
 
 
 def in_icecream(
@@ -252,11 +323,12 @@ def in_icecream(
     Requires scoop_radius < dist(apex, scoop_center).  Envelope:
     ball(apex, dist + scoop_radius).
     """
-    d = float(hdist(apex, scoop_center))
+    _on_sheet(p, apex, scoop_center)
+    d = float(_dist(apex, scoop_center))
     if not scoop_radius < d:
         raise DomainError(
             f"ice-cream cone needs scoop_radius < apex distance, got r={scoop_radius}, d={d}"
         )
-    return in_ball(p, scoop_center, scoop_radius) | in_cone(
+    return (_dist(p, scoop_center) <= scoop_radius) | _cone(
         p, apex, scoop_center, omega(scoop_radius, d), theta(scoop_radius, d)
     )

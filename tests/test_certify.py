@@ -524,3 +524,13 @@ def test_malformed_json_is_a_certification_error(edit, names):
     with pytest.raises(CertificationError) as info:
         certificate_from_json(json.dumps(obj))  # writes a nan as the literal NaN
     assert all(name in str(info.value) for name in names)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("not json", id="not-json"),
+    pytest.param('{"epsilon": ' + "1" * 5001 + "}", id="int-past-digit-limit"),
+])
+def test_unreadable_json_is_a_certification_error(text):
+    # json.loads raised JSONDecodeError, or a bare ValueError past 4300 digits
+    with pytest.raises(CertificationError, match="not readable JSON"):
+        certificate_from_json(text)

@@ -214,6 +214,7 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
                  id="optimize-c-tol-nan"),
     pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
     pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
+    pytest.param(("mc-check", "--shape", "ball", "--params", "400"), id="mc-check-ball-overflow"),
     pytest.param(("--samples", "0", "mc-check", "--shape", "ball"), id="global-samples-0"),
     pytest.param(("--seed", "-1", "mc-check", "--shape", "ball", "--samples", "10"),
                  id="global-seed-negative"),
@@ -358,6 +359,13 @@ class TestImports:
         assert estimate_volume is mcoracle.estimate_volume
         with pytest.raises(AttributeError):
             hypercert.no_such_name
+
+    def test_lazy_names_are_mcoracle_all(self):
+        import hypercert
+        from hypercert import assert_on_sheet, mcoracle
+
+        assert set(hypercert._MCORACLE_NAMES) == set(mcoracle.__all__)
+        assert assert_on_sheet is mcoracle.assert_on_sheet
 
     def test_star_import_keeps_mcoracle_names(self):
         namespace = {}

@@ -23,6 +23,7 @@ from hypercert import (
     sigma,
     theta,
 )
+from hypercert.hypgeo import MAX_RADIUS
 
 LOG3 = math.log(3.0)
 
@@ -59,10 +60,16 @@ class TestBallVolume:
         if r1 < r2:
             assert ball_volume(r1) < ball_volume(r2)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # 400 used to raise OverflowError, and 1e308 to return nan
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 400.0, 1e308])
     def test_rejects_bad_input(self, bad):
         with pytest.raises(DomainError):
             ball_volume(bad)
+
+    def test_finite_up_to_max_radius(self):
+        assert math.isfinite(ball_volume(MAX_RADIUS))
+        with pytest.raises(DomainError, match="overflows"):
+            ball_volume(math.nextafter(MAX_RADIUS, math.inf))
 
 
 class TestCapVolume:
@@ -104,6 +111,8 @@ class TestCapVolume:
             cap_volume(-1.0, 0.0)
         with pytest.raises(DomainError):
             cap_volume(1.0, math.nan)
+        with pytest.raises(DomainError):
+            cap_volume(800.0, 0.5)  # used to raise OverflowError
 
 
 class TestEta:

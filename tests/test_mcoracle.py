@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -28,6 +29,8 @@ from hypercert import (
     theta,
     translate_to,
 )
+from hypercert.hypgeo import MAX_RADIUS
+from hypercert.mcoracle import _radial_inverse
 
 
 class TestDistance:
@@ -48,6 +51,18 @@ class TestDistance:
             assert hdist(p, q) == pytest.approx(hdist(q, p), rel=1e-12)
             assert hdist(p, s) <= hdist(p, q) + hdist(q, s) + 1e-12
 
+    def test_column_sums_match_np_sum(self):
+        # hdist and minkowski_dot add the three space columns one at a time;
+        # np.sum over the last axis adds them in the same order, bit for bit
+        cloud = sample_ball(axis_point(0.4), 1.5, 10_000, seed=35)
+        q = hpoint(0.3, -0.2, 0.9)
+        diff = cloud - q
+        ref = 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(
+            np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2, 0.0)))
+        assert np.array_equal(hdist(cloud, q), ref)
+        dots = cloud[:, 0] * q[0] - np.sum(cloud[:, 1:] * q[1:], axis=-1)
+        assert np.array_equal(minkowski_dot(cloud, q), dots)
+
     def test_rejects_off_sheet(self):
         with pytest.raises(DomainError):
             hdist(np.array([1.0, 0.5, 0.0, 0.0]), BASEPOINT)
@@ -61,6 +76,19 @@ class TestTranslation:
         moved = translate_to(BASEPOINT[None, :], target)
         assert hdist(moved[0], target) < 1e-12
 
+    @pytest.mark.parametrize("target", [hpoint(0.7, -0.4, 0.2), axis_point(2.0), BASEPOINT])
+    def test_boost_of_a_cloud(self, target):
+        cloud = np.concatenate([BASEPOINT[None, :], sample_ball(BASEPOINT, 1.5, 10_000, seed=34)])
+        moved = translate_to(cloud, target)
+        assert np.max(np.abs(moved[0] - target)) < 1e-12
+        assert np.max(np.abs(minkowski_dot(moved, moved) - 1.0)) < 1e-12
+        # the boost formula point by point, as a reference; the matrix sums in another order
+        s = BASEPOINT + target
+        xu, xs = minkowski_dot(cloud, BASEPOINT), minkowski_dot(cloud, s)
+        ref = cloud + 2.0 * xu[:, None] * target - (xs / (1.0 + target[0]))[:, None] * s
+        ref[:, 0] = np.sqrt(1.0 + np.sum(ref[:, 1:] ** 2, axis=-1))
+        assert np.max(np.abs(moved - ref)) < 1e-12
+
     def test_is_an_isometry(self):
         rng = np.random.default_rng(11)
         pts = np.stack([hpoint(*rng.normal(size=3)) for _ in range(8)])
@@ -69,6 +97,69 @@ class TestTranslation:
         before = hdist(pts[:1], pts[1:])
         after = hdist(moved[:1], moved[1:])
         assert np.max(np.abs(before - after)) < 1e-10
+
+
+def _newton_gaps(u: np.ndarray, t: np.ndarray, radius: float) -> list[float]:
+    """|c| / t for each t > 0, with c one Newton correction towards the root of
+    sinh 2t - 2t = u (sinh 2r - 2r), computed in mpmath.
+
+    To first order |c| is t's distance from the exact root, so this is t's
+    relative error.  The working precision covers the 2 log10(1/t) digits that
+    sinh 2t - 2t ~ 4t^3/3 cancels.
+    """
+    digits = 2 * max(0, -math.floor(math.log10(float(np.min(t)))))
+    with mpmath.workdps(30 + digits):
+        two_r = 2 * mpmath.mpf(radius)
+        norm = mpmath.sinh(two_r) - two_r
+        gaps = []
+        for ui, ti in zip(u.tolist(), t.tolist()):
+            x, s = mpmath.mpf(ti), mpmath.sinh(ti)  # sinh 2t = 2 sinh t cosh t
+            f = 2 * s * mpmath.sqrt(1 + s * s) - 2 * x - ui * norm
+            gaps.append(float(abs(f / (4 * s * s)) / ti))
+        return gaps
+
+
+class TestRadialInverse:
+    """_radial_inverse against one Newton correction computed in mpmath."""
+
+    EDGES = (1e-300, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0)
+
+    def check(self, radius, count, seed):
+        # each edge alone, so that u = 1e-300 alone pays for its precision
+        batches = [np.array([u]) for u in self.EDGES]
+        batches.append(np.random.default_rng(seed).random(count))
+        for u in batches:
+            t = _radial_inverse(u, radius)
+            assert np.all((t > 0.0) & (t <= radius))
+            assert max(_newton_gaps(u, t, radius)) < 1e-12
+        assert _radial_inverse(np.zeros(1), radius)[0] == 0.0
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.5, 1.0, 1.6, 5.0])
+    def test_matches_mpmath_root(self, radius):
+        self.check(radius, 10_000, seed=31)
+
+    @pytest.mark.parametrize("radius", [50.0, 300.0, MAX_RADIUS])
+    def test_fixed_steps_suffice_up_to_overflow(self, radius):
+        self.check(radius, 300, seed=32)
+
+
+OFF_SHEET = np.array([[1.0, 0.5, 0.0, 0.0]])
+_TOWARD, _SCOOP = axis_point(1.0), axis_point(1.05)
+
+
+@pytest.mark.parametrize("predicate", [
+    pytest.param(lambda p: in_ball(p, BASEPOINT, 1.0), id="ball"),
+    pytest.param(lambda p: in_halfspace(p, BASEPOINT, _TOWARD, 0.5), id="halfspace"),
+    pytest.param(lambda p: in_cap(p, BASEPOINT, _TOWARD, 1.0, 0.5), id="cap"),
+    pytest.param(lambda p: in_lens(p, BASEPOINT, 1.2, _TOWARD, 0.7), id="lens"),
+    pytest.param(lambda p: in_cone(p, BASEPOINT, _TOWARD, 1.0, 0.5), id="cone"),
+    pytest.param(lambda p: in_icecream(p, BASEPOINT, _SCOOP, 0.55), id="icecream"),
+])
+def test_predicates_reject_off_sheet_cloud(predicate):
+    cloud = sample_ball(BASEPOINT, 1.0, 1000, seed=33)
+    predicate(cloud)
+    with pytest.raises(DomainError):
+        predicate(np.concatenate([cloud, OFF_SHEET]))
 
 
 class TestSampler:
@@ -119,6 +210,8 @@ class TestSampler:
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):
             sample_ball(BASEPOINT, -1.0, 10, seed=0)
+        with pytest.raises(DomainError):
+            sample_ball(BASEPOINT, 400.0, 10, seed=0)  # sinh 2r overflows
         with pytest.raises(DomainError):
             sample_ball(BASEPOINT, 1.0, 0, seed=0)
         with pytest.raises(DomainError):
