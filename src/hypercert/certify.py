@@ -52,11 +52,13 @@ from .density import DEFAULT_QUADRATURE, QuadratureConfig, b_ratio
 from .hypgeo import (
     DomainError,
     _asin_clamped,
+    _ball,
+    _cap,
     _check_finite,
     _check_positive,
+    _check_radius,
     acosh_clamped,
     ball_volume,
-    cap_volume,
 )
 
 __all__ = [
@@ -118,13 +120,18 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class CertifyParams:
-    """Margulis parameter eps and valence-ball radius R, with 2 eps < R < 5 eps / 2."""
+    """Margulis parameter eps and valence-ball radius R, with 2 eps < R < 5 eps / 2.
+
+    R <= hypgeo.MAX_RADIUS bounds the radii R - D, eps/2 and omega (all < R)
+    that phi_lower hands to the unchecked volume kernels.
+    """
 
     epsilon: float
     R: float
 
     def __post_init__(self) -> None:
-        _check_positive(epsilon=self.epsilon, R=self.R)
+        _check_positive(epsilon=self.epsilon)
+        _check_radius(self.R, "R")
         if not 2.0 * self.epsilon < self.R < 2.5 * self.epsilon:
             raise DomainError(
                 f"radius must satisfy 2*eps < R < 5*eps/2, got eps={self.epsilon}, R={self.R}"
@@ -208,16 +215,9 @@ class CertificationResult:
 
 
 def _check_cell(params: CertifyParams, d_lo: float, d_hi: float) -> None:
-    if params.d_min <= d_lo < d_hi <= params.epsilon:
-        return  # a valid cell; the checks below only choose the error message
-    _check_finite(d_lo=d_lo, d_hi=d_hi)
-    if not d_lo < d_hi:
-        raise DomainError(f"cell endpoints must satisfy d_lo < d_hi, got [{d_lo}, {d_hi}]")
-    lo, hi = params.interval
-    if d_lo < lo or d_hi > hi:
-        raise DomainError(
-            f"cell [{d_lo}, {d_hi}] is not contained in the certified interval [{lo}, {hi}]"
-        )
+    if not params.d_min <= d_lo < d_hi <= params.epsilon:
+        raise DomainError(f"cell [{d_lo}, {d_hi}] must satisfy d_lo < d_hi and lie in "
+                          f"the certified interval [{params.d_min}, {params.epsilon}]")
 
 
 class _Ends(NamedTuple):
@@ -348,7 +348,8 @@ def phi_lower(
     """Evaluate one cell: margins, goodness, and (when good) all lower bounds.
 
     This is the cell core.  It checks the cell once, takes every endpoint
-    value from one _ends call and applies each formula once.  It never raises
+    value from one _ends call and applies each formula once, the volumes
+    through hypgeo's unchecked kernels _cap and _ball.  It never raises
     on a non-good cell; the certificate records good=False with the margins
     so callers can decide to split.  slack must be finite and positive, so on
     a good cell every margin is > 0, as the sigma and psi enclosures need.
@@ -364,9 +365,9 @@ def phi_lower(
     sg_lo, sg_hi = _sigma(c_rlo, c_rhi, h_lo, h_hi)
     p_lo, p_hi = _psi(ch_om_lo, ch_om_hi, g_lo, g_hi)
     r = params.half_eps
-    wl = cap_volume(params.R - d_hi, sg_hi) + cap_volume(r, d_hi - sg_lo)
-    wc = ball_volume(om_lo) / 2.0 * (1.0 - math.cos(th_lo)) - cap_volume(om_hi, p_lo)
-    ph = wl + wc - cap_volume(r, d_lo - p_hi)
+    wl = _cap(params.R - d_hi, sg_hi) + _cap(r, d_hi - sg_lo)
+    wc = _ball(om_lo) / 2.0 * (1.0 - math.cos(th_lo)) - _cap(om_hi, p_lo)
+    ph = wl + wc - _cap(r, d_lo - p_hi)
     return SubintervalCertificate(
         d_lo, d_hi, h_lo, h_hi, margins, True,
         sigma_lo=sg_lo, sigma_hi=sg_hi, psi_lo=p_lo, psi_hi=p_hi,
@@ -534,7 +535,10 @@ def largest_certifiable_c(
 
     The search is capped at B(eps/2): the downstream valence arithmetic needs
     B(eps/2) > c, so nothing is gained by certifying past the cap.  c_tol must
-    be positive and finite, or the bisection would never end.
+    be positive and finite; the bisection also ends when the midpoint of its
+    bracket rounds to an end.  The c returned is positive, or
+    CertificationError is raised: when the cap is not positive, or when the
+    bisection ends at c = 0, as it does when the cap is not above c_tol.
 
     The cap pass, the c = 0 pass and every bisection pass share one memo of
     evaluated cells.  Each failing pass dives weaker half first toward the
@@ -545,8 +549,12 @@ def largest_certifiable_c(
     """
     _check_positive(c_tol=c_tol, slack=slack)
     _check_max_depth(max_depth)
-    memo: dict[tuple[float, float], SubintervalCertificate] = {}
+    where = f"at eps={params.epsilon}, R={params.R}"
     cap = ball_volume(params.half_eps) - 10.0 * slack
+    if not cap > 0.0:
+        raise CertificationError(f"no positive lower bound certifiable {where}: the cap "
+                                 f"B(eps/2) - 10 slack = {cap!r} is not positive")
+    memo: dict[tuple[float, float], SubintervalCertificate] = {}
     result = _refine(params, cap, max_depth, slack, memo)
     if result.success:
         assert result.certificate is not None
@@ -554,18 +562,20 @@ def largest_certifiable_c(
     lo_c = 0.0
     best = _refine(params, lo_c, max_depth, slack, memo)
     if not best.success:
-        raise CertificationError(
-            f"no positive lower bound certifiable at eps={params.epsilon}, R={params.R}: "
-            + best.message
-        )
+        raise CertificationError(f"no positive lower bound certifiable {where}: " + best.message)
     hi_c = cap
     while hi_c - lo_c > c_tol:
         mid = 0.5 * (lo_c + hi_c)
+        if not lo_c < mid < hi_c:
+            break  # c_tol is below the spacing of floats near c
         result = _refine(params, mid, max_depth, slack, memo)
         if result.success:
             lo_c, best = mid, result
         else:
             hi_c = mid
+    if not lo_c > 0.0:
+        raise CertificationError(f"no positive lower bound certified {where}: the bisection "
+                                 f"under the cap {cap!r} ended at c = 0 with c_tol={c_tol!r}")
     assert best.certificate is not None
     return lo_c, best.certificate
 

@@ -191,10 +191,16 @@ def simplex_volume_tau(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> 
 
 
 def packing_density(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Simplicial packing density bound for balls of radius r; lies in (0, 1)."""
-    d = (3.0 * dihedral_beta(r) - math.pi) * (math.sinh(2.0 * r) - 2.0 * r) / simplex_volume_tau(r, cfg)
+    """Simplicial packing density bound for balls of radius r; lies in (0, 1).
+
+    Where tau underflows to 0 (below r ~ 1e-8) the density is nan, and raises
+    QuadratureError as any value outside (0, 1) does.
+    """
+    tau = simplex_volume_tau(r, cfg)
+    d = ((3.0 * dihedral_beta(r) - math.pi) * (math.sinh(2.0 * r) - 2.0 * r) / tau
+         if tau > 0.0 else math.nan)
     if not 0.0 < d < 1.0:
-        raise QuadratureError(f"packing density {d!r} escaped (0, 1); quadrature unreliable")
+        raise QuadratureError(f"packing density {d!r} (tau {tau!r}) escaped (0, 1); quadrature unreliable")
     return d
 
 

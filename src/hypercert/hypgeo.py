@@ -1,7 +1,9 @@
 """Closed-form volumes of balls, caps, lenses, cones and clipped cones in H^3.
 
 All lengths are hyperbolic (curvature -1), all angles are in radians.  Every
-function is pure and validates its inputs, so concurrent use is safe.
+function is pure, so concurrent use is safe.  The public functions validate
+their inputs; the private kernels _ball and _cap assume checked ones: a radius
+in (0, MAX_RADIUS] and a finite w.
 
 The building blocks:
 
@@ -56,19 +58,15 @@ def _check_finite(**values: float) -> None:
 
 
 def _check_positive(**values: float) -> None:
-    for v in values.values():
-        if not 0.0 < v < math.inf:
-            break
-    else:
-        return  # all finite and positive: skip the per-name checks below
-    _check_finite(**values)
     for name, v in values.items():
-        if v <= 0.0:
-            raise DomainError(f"{name} must be positive, got {v!r}")
+        if not 0.0 < v < math.inf:
+            raise DomainError(f"{name} must be finite and positive, got {v!r}")
 
 
-def _too_large(r: float) -> None:
-    raise DomainError(f"r must be at most {MAX_RADIUS}, as sinh 2r overflows near there; got {r!r}")
+def _check_radius(r: float, name: str = "r") -> None:
+    if not 0.0 < r <= MAX_RADIUS:
+        raise DomainError(f"{name} must be positive and at most {MAX_RADIUS}, as sinh 2r "
+                          f"overflows near there; got {r!r}")
 
 
 def acosh_clamped(x: float) -> float:
@@ -92,12 +90,23 @@ def _asin_clamped(x: float) -> float:
     raise DomainError(f"arcsin argument {x!r} is outside [-1, 1]")
 
 
+def _ball(r: float) -> float:
+    return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
+
+
+def _cap(r: float, w: float) -> float:
+    if w >= r:
+        return 0.0
+    if w <= -r:
+        return _ball(r)
+    c = math.cosh(r)
+    return math.pi * (c * c * (math.tanh(r) - math.tanh(w)) - (r - w))
+
+
 def ball_volume(r: float) -> float:
     """Volume pi*(sinh(2r) - 2r) of a ball of radius r > 0."""
-    _check_positive(r=r)
-    if r > MAX_RADIUS:
-        _too_large(r)
-    return math.pi * (math.sinh(2.0 * r) - 2.0 * r)
+    _check_radius(r)
+    return _ball(r)
 
 
 def cap_volume(r: float, w: float) -> float:
@@ -111,16 +120,9 @@ def cap_volume(r: float, w: float) -> float:
     On |w| <= r this is the Fermi-coordinate integral
     pi * Integral_w^r (cosh^2(r) sech^2(u) - 1) du in closed form.
     """
-    _check_positive(r=r)
+    _check_radius(r)
     _check_finite(w=w)
-    if r > MAX_RADIUS:
-        _too_large(r)
-    if w >= r:
-        return 0.0
-    if w <= -r:
-        return ball_volume(r)
-    c = math.cosh(r)
-    return math.pi * (c * c * (math.tanh(r) - math.tanh(w)) - (r - w))
+    return _cap(r, w)
 
 
 def eta(x: float, y: float, z: float) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import MAX_RADIUS, DomainError, ball_volume, omega, psi, theta
+from .hypgeo import DomainError, _check_radius, ball_volume, omega, psi, theta
 
 __all__ = [
     "BASEPOINT",
@@ -66,12 +66,18 @@ def minkowski_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def assert_on_sheet(p: np.ndarray, tol: float = ON_SHEET_TOL) -> None:
-    """Reject points whose Minkowski norm strays from 1 or with x0 < 1."""
+    """Reject points whose Minkowski norm strays from 1 by more than tol x0^2, or with x0 < 1.
+
+    The rounding error of <p, p> grows like x0^2 = cosh^2 of the distance
+    from the basepoint, so the bound on it does too.  A nan or infinite
+    coordinate fails a comparison and is rejected.
+    """
     p = np.asarray(p, dtype=float)
     if p.shape[-1] != 4:
         raise DomainError(f"hyperboloid points have 4 coordinates, got shape {p.shape}")
+    x0 = p[..., 0]
     err = np.abs(minkowski_dot(p, p) - 1.0)
-    if np.any(err > tol) or np.any(p[..., 0] < 1.0 - tol):
+    if not (np.all(err <= tol * (x0 * x0)) and np.all(x0 >= 1.0 - tol)):
         raise DomainError(f"point off the hyperboloid sheet (max norm error {float(np.max(err)):.3e})")
 
 
@@ -192,9 +198,7 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.
     reproduces the identical stream.
     """
     assert_on_sheet(center)
-    if not 0.0 < radius <= MAX_RADIUS:
-        raise DomainError(f"radius must be positive and at most {MAX_RADIUS}, as sinh 2r "
-                          f"overflows near there; got {radius!r}")
+    _check_radius(radius, "radius")
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if not 0 <= seed < 2**64:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypercert.certify as certify_mod
+import hypercert.hypgeo as hypgeo
 from helpers import h_at, phi_at, psi_at, sigma_at, wcone_at, wlens_at
 from hypercert import (
     CertificationError,
@@ -74,6 +75,8 @@ class TestParams:
             CertifyParams(1.0, 2.5)
         with pytest.raises(DomainError):
             CertifyParams(-1.0, 2.2)
+        with pytest.raises(DomainError):  # inside the window, past hypgeo.MAX_RADIUS
+            CertifyParams(200.0, 450.0)
 
     def test_reference_interval(self, ref_params):
         lo, hi = ref_params.interval
@@ -108,6 +111,10 @@ class TestHBounds:
             h_bounds(ref_params, hi - 0.01, hi + 0.01)
         with pytest.raises(DomainError):
             h_bounds(ref_params, lo + 0.02, lo + 0.01)
+        for d_lo, d_hi in ((math.nan, hi), (lo, math.nan), (-math.inf, hi), (lo, math.inf),
+                           (lo + 0.01, lo + 0.01)):
+            with pytest.raises(DomainError):
+                phi_lower(ref_params, d_lo, d_hi)
 
 
 class TestEnclosures:
@@ -210,6 +217,25 @@ class TestPhiLower:
             assert min(left.phi_lo, right.phi_lo) >= parent.phi_lo - 1e-12
 
 
+def test_cell_core_makes_no_check_calls(monkeypatch):
+    # CertifyParams and the cell check bound every input of the volume kernels
+    # phi_lower calls; through cap_volume and ball_volume it made 9 per cell
+    calls = Counter()
+
+    def counting(name, check):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+        return counted
+
+    for name in ("_check_positive", "_check_finite", "_check_radius"):
+        monkeypatch.setattr(hypgeo, name, counting(name, getattr(hypgeo, name)))
+    assert hypgeo.cap_volume(1.0, 0.5) > 0.0 and calls["_check_radius"] == 1
+    calls.clear()
+    verify_reference_partition()
+    assert calls == Counter()
+
+
 class TestReferencePartition:
     def test_structure(self, ref_params):
         cert = verify_reference_partition()
@@ -275,6 +301,20 @@ class TestAdaptiveCertifier:
         assert cert.certified_c - 1e-9 > c
         # the true minimum of Phi on I is at the right endpoint
         assert c <= phi_at(ref_params, ref_params.d_max)
+
+    def test_largest_certifiable_c_below_float_spacing(self, ref_params):
+        # a c_tol below the spacing of floats near c used to bisect forever
+        c, cert = largest_certifiable_c(ref_params, c_tol=1e-17)
+        assert 0.496 < c < cert.certified_c - 1e-9
+
+    @pytest.mark.parametrize("params, c_tol", [
+        (CertifyParams(1e-3, 2.25e-3), 1e-5),  # the cap B(eps/2) - 10 slack is negative
+        (reference_params(), 1.0),             # the cap (0.737) is below c_tol
+    ], ids=["negative-cap", "cap-below-c_tol"])
+    def test_largest_certifiable_c_is_positive(self, params, c_tol):
+        # the negative cap was returned as c, and c = 0 when the cap was below c_tol
+        with pytest.raises(CertificationError, match="no positive lower bound"):
+            largest_certifiable_c(params, c_tol=c_tol)
 
     def test_largest_certifiable_c_golden(self, ref_params):
         c, cert = largest_certifiable_c(ref_params)

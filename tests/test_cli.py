@@ -132,6 +132,23 @@ class TestOptimize:
         assert lines[0] == "R,certifiedC,valenceBound"
         assert len(lines) == 2
 
+    def test_c_tol_below_float_spacing(self, runner):
+        # used to bisect forever
+        assert invoke(runner, "optimize", "--epsilon", "log3", "--grid", "1",
+                      "--c-tol", "1e-17").exit_code == 0
+
+    @pytest.mark.parametrize("args", [
+        ("--epsilon", "0.001", "--grid", "3"),
+        ("--epsilon", "log3", "--grid", "1", "--c-tol", "1"),
+    ], ids=["negative-cap", "cap-below-c_tol"])
+    def test_no_positive_c_exits_one(self, runner, args):
+        # the first printed valenceBound=-6 as best and exited 0, the second ended in a
+        # ZeroDivisionError, as --epsilon 0.01 --grid 1 did
+        result = runner.invoke(main, ["optimize", *args])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "no positive lower bound" in result.output
+        assert "optimization failed: certification failed at every grid point" in result.output
+
     SKIPPING = ("optimize", "--epsilon", "1.0", "--grid", "9", "--max-depth", "1")
 
     def test_skipped_radii_json(self, runner):
@@ -276,6 +293,14 @@ class TestMcCheck:
         assert obj["deviationSigmas"] == 0.0
         assert obj["standardError"] == 0.0 and isinstance(obj["standardError"], float)
 
+    @pytest.mark.parametrize("radius", ["8", "20"])
+    def test_ball_far_from_basepoint(self, runner, radius):
+        # an absolute on-sheet tolerance rejected the sampler's own points, with exit 2
+        result = invoke(runner, "--format", "json", "--samples", "20000",
+                        "mc-check", "--shape", "ball", "--params", radius)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["within3Sigma"] is True
+
     def test_bad_params_exit_two(self, runner):
         result = runner.invoke(main, ["mc-check", "--shape", "lens", "--params", "0.5,0.7,3.0"])
         assert result.exit_code == 2
@@ -307,6 +332,13 @@ class TestQuadratureFailure:
         assert result.exit_code == 1
         assert "quadrature failure" in result.output
         assert not isinstance(result.exception, QuadratureError)
+
+    def test_underflowed_tau_exits_one(self, runner):
+        # tau(eps/2) underflows to 0, which used to end in a ZeroDivisionError
+        result = runner.invoke(main, ["optimize", "--epsilon", "1e-10", "--grid", "1"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.output.startswith("quadrature failure: ")
+        assert len(result.output.splitlines()) == 1
 
 
 class TestEnvironmentOverrides:

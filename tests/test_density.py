@@ -168,6 +168,15 @@ class TestPackingDensity:
         for r in np.linspace(0.1, 3.0, 16):
             assert 0.0 < packing_density(float(r), quad_cfg) < 1.0
 
+    @pytest.mark.parametrize("r", [1e-8, 1e-10])
+    def test_underflowed_tau_is_a_quadrature_error(self, r, quad_cfg):
+        # tau underflows to 0 here; both used to raise ZeroDivisionError
+        assert simplex_volume_tau(r, quad_cfg) == 0.0
+        with pytest.raises(QuadratureError, match="escaped"):
+            packing_density(r, quad_cfg)
+        with pytest.raises(QuadratureError, match="escaped"):
+            b_ratio(r, quad_cfg)
+
 
 class TestBRatio:
     def test_reference_value(self, quad_cfg):

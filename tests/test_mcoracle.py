@@ -68,6 +68,8 @@ class TestDistance:
             hdist(np.array([1.0, 0.5, 0.0, 0.0]), BASEPOINT)
         with pytest.raises(DomainError):
             hdist(np.array([1.0, 0.0, 0.0]), BASEPOINT)
+        with pytest.raises(DomainError):  # nan compared false against both bounds, and passed
+            hdist(np.array([math.nan, 0.0, 0.0, 0.0]), BASEPOINT)
 
 
 class TestTranslation:
