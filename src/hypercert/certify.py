@@ -13,13 +13,14 @@ valid at every interior point.  A partition of I into "good" subintervals
 whose bounds all exceed a target c is a machine-checkable certificate that
 Phi > c on I.
 
-One cell core evaluates a cell: phi_lower checks the cell once, computes
-cosh and sinh of r = eps/2, d_lo, d_hi, R - d_lo and R - d_hi once each (and
-the tangent cone omega, theta at the two endpoints from them), and applies
-each formula once: the H bounds, the three goodness margins, and the sigma
-and psi enclosures.  h_bounds, goodness_margins, sigma_bounds and psi_bounds
-expose single stages through the same formula helpers.  Every decision
-subtracts a slack that must be finite and positive.
+One cell core evaluates a cell, and it is the only place the cell formulas
+are written: phi_lower checks the cell once, computes cosh and sinh of
+r = eps/2, d_lo, d_hi, R - d_lo and R - d_hi once each (and the tangent cone
+omega, theta at the two endpoints from them), and applies each formula once:
+the H bounds, the three goodness margins, and the sigma and psi enclosures.
+h_bounds, goodness_margins, sigma_bounds and psi_bounds return fields of
+phi_lower's cell; sigma_bounds and psi_bounds need a good cell.  Every
+decision subtracts a slack that must be finite and positive.
 
 The module also ships the fixed 47-cell reference partition establishing
 c = 0.496 at eps = log 3, R = 2 log 3 + 0.15, an adaptive certifier for
@@ -220,123 +221,45 @@ def _check_cell(params: CertifyParams, d_lo: float, d_hi: float) -> None:
                           f"the certified interval [{params.d_min}, {params.epsilon}]")
 
 
-class _Ends(NamedTuple):
-    """The endpoint values of a checked cell, each computed once; r = eps/2."""
-
-    c_r: float       # cosh r
-    c_rlo: float     # cosh(R - d_lo), the largest cosh(R - D) on the cell
-    c_rhi: float     # cosh(R - d_hi), the smallest
-    s_rhi: float     # sinh(R - d_hi)
-    c_lo: float      # cosh d_lo
-    c_hi: float      # cosh d_hi
-    s_lo: float      # sinh d_lo
-    s_hi: float      # sinh d_hi
-    om_lo: float     # omega(r, d_lo), the tangent-cone generator
-    om_hi: float     # omega(r, d_hi)
-    th_lo: float     # theta(r, d_lo), the tangent-cone half-angle
-    sh_om_lo: float  # sinh omega(r, d_lo)
-    ch_om_lo: float  # cosh omega(r, d_lo)
-    ch_om_hi: float  # cosh omega(r, d_hi)
-    g_lo: float      # sinh omega sin theta at d_lo, the smallest on the cell
-    g_hi: float      # sinh omega sin theta at d_hi, the largest
-
-
-def _ends(params: CertifyParams, d_lo: float, d_hi: float) -> _Ends:
-    """Check the cell once and evaluate cosh/sinh of r, d_lo, d_hi, R - d_lo and R - d_hi.
-
-    omega and theta are formed from these shared values rather than through
-    hypgeo.omega/theta, whose r < d checks hold here: CertifyParams and the
-    cell check give d >= R/2 - eps/4 > 3 eps/4 > eps/2 = r.
-    """
-    _check_cell(params, d_lo, d_hi)
-    r = params.half_eps
-    R = params.R
-    c_r, s_r = math.cosh(r), math.sinh(r)
-    c_lo, c_hi = math.cosh(d_lo), math.cosh(d_hi)
-    s_lo, s_hi = math.sinh(d_lo), math.sinh(d_hi)
-    om_lo, om_hi = acosh_clamped(c_lo / c_r), acosh_clamped(c_hi / c_r)
-    th_lo, th_hi = _asin_clamped(s_r / s_lo), _asin_clamped(s_r / s_hi)
-    sh_om_lo = math.sinh(om_lo)
-    return _Ends(
-        c_r, math.cosh(R - d_lo), math.cosh(R - d_hi), math.sinh(R - d_hi),
-        c_lo, c_hi, s_lo, s_hi, om_lo, om_hi, th_lo,
-        sh_om_lo, math.cosh(om_lo), math.cosh(om_hi),
-        sh_om_lo * math.sin(th_lo), math.sinh(om_hi) * math.sin(th_hi),
-    )
-
-
-# The formulas, each written once, as functions of the endpoint values.
-
-def _h(
-    c_r: float, c_rlo: float, c_rhi: float, c_lo: float, c_hi: float, s_lo: float, s_hi: float
-) -> tuple[float, float]:
-    num_lo = 2.0 * c_rhi * c_r * c_lo - (c_rlo * c_rlo + c_r * c_r + c_hi * c_hi) + 1.0
-    num_hi = 2.0 * c_rlo * c_r * c_hi - (c_rhi * c_rhi + c_r * c_r + c_lo * c_lo) + 1.0
-    return num_lo / (s_hi * s_hi), num_hi / (s_lo * s_lo)
-
-
-def _margins(
-    h_lo: float, h_hi: float, s_rhi: float, sh_om_lo: float, g_hi: float
-) -> tuple[float, float, float]:
-    return (h_lo + 1.0, s_rhi * s_rhi - h_hi, sh_om_lo - g_hi)
-
-
-def _sigma(c_rlo: float, c_rhi: float, h_lo: float, h_hi: float) -> tuple[float, float]:
-    # needs margins 1 and 2 > 0
-    return (
-        acosh_clamped(c_rhi / math.sqrt(1.0 + h_hi)),
-        acosh_clamped(c_rlo / math.sqrt(1.0 + h_lo)),
-    )
-
-
-def _psi(ch_om_lo: float, ch_om_hi: float, g_lo: float, g_hi: float) -> tuple[float, float]:
-    # needs margin 3 > 0
-    return (
-        acosh_clamped(ch_om_lo / math.sqrt(1.0 + g_hi * g_hi)),
-        acosh_clamped(ch_om_hi / math.sqrt(1.0 + g_lo * g_lo)),
-    )
-
-
-def _h_and_margins(
-    params: CertifyParams, d_lo: float, d_hi: float
-) -> tuple[_Ends, tuple[float, float], tuple[float, float, float]]:
-    e = _ends(params, d_lo, d_hi)
-    h_lo, h_hi = _h(e.c_r, e.c_rlo, e.c_rhi, e.c_lo, e.c_hi, e.s_lo, e.s_hi)
-    return e, (h_lo, h_hi), _margins(h_lo, h_hi, e.s_rhi, e.sh_om_lo, e.g_hi)
-
-
 def h_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
-    """Enclosure of H(D) = eta(R - D, eps/2, D) on [d_lo, d_hi].
+    """Enclosure of H(D) = eta(R - D, eps/2, D) on [d_lo, d_hi]: phi_lower's h_lo and h_hi.
 
     Both bounds substitute endpoints so that every numerator term moves in
     the pessimal direction; together with H >= 0 on I this sandwiches H(D).
     """
-    return BoundPair(*_h_and_margins(params, d_lo, d_hi)[1])
+    cell = phi_lower(params, d_lo, d_hi)
+    return BoundPair(cell.h_lo, cell.h_hi)
 
 
 def goodness_margins(params: CertifyParams, d_lo: float, d_hi: float) -> tuple[float, float, float]:
     """The three positivity margins that make the endpoint bounds valid on a cell."""
-    return _h_and_margins(params, d_lo, d_hi)[2]
+    return phi_lower(params, d_lo, d_hi).margins
+
+
+def _good_cell(params: CertifyParams, d_lo: float, d_hi: float, what: str) -> SubintervalCertificate:
+    cell = phi_lower(params, d_lo, d_hi)
+    if not cell.good:
+        raise DomainError(f"cell [{d_lo}, {d_hi}] is not good (margins={cell.margins}); "
+                          f"{what} bounds undefined")
+    return cell
 
 
 def sigma_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
-    """Enclosure of Sigma(D) = sigma(R - D, eps/2, D); needs margins 1 and 2 > 0."""
-    e, (h_lo, h_hi), (m1, m2, _) = _h_and_margins(params, d_lo, d_hi)
-    if not (m1 > 0.0 and m2 > 0.0):
-        raise DomainError(
-            f"cell [{d_lo}, {d_hi}] fails goodness conditions (1)-(2); sigma bounds undefined"
-        )
-    return BoundPair(*_sigma(e.c_rlo, e.c_rhi, h_lo, h_hi))
+    """Enclosure of Sigma(D) = sigma(R - D, eps/2, D): a good cell's sigma_lo and sigma_hi.
+
+    Raises DomainError when the cell is not good.
+    """
+    cell = _good_cell(params, d_lo, d_hi, "sigma")
+    return BoundPair(cell.sigma_lo, cell.sigma_hi)  # type: ignore[arg-type]
 
 
 def psi_bounds(params: CertifyParams, d_lo: float, d_hi: float) -> BoundPair:
-    """Enclosure of Psi(D) = psi(omega(eps/2, D), theta(eps/2, D)); needs margin 3 > 0."""
-    e, _, (_, _, m3) = _h_and_margins(params, d_lo, d_hi)
-    if not m3 > 0.0:
-        raise DomainError(
-            f"cell [{d_lo}, {d_hi}] fails goodness condition (3); psi bounds undefined"
-        )
-    return BoundPair(*_psi(e.ch_om_lo, e.ch_om_hi, e.g_lo, e.g_hi))
+    """Enclosure of Psi(D) = psi(omega(eps/2, D), theta(eps/2, D)): a good cell's psi_lo and psi_hi.
+
+    Raises DomainError when the cell is not good.
+    """
+    cell = _good_cell(params, d_lo, d_hi, "psi")
+    return BoundPair(cell.psi_lo, cell.psi_hi)  # type: ignore[arg-type]
 
 
 def phi_lower(
@@ -347,25 +270,45 @@ def phi_lower(
 ) -> SubintervalCertificate:
     """Evaluate one cell: margins, goodness, and (when good) all lower bounds.
 
-    This is the cell core.  It checks the cell once, takes every endpoint
-    value from one _ends call and applies each formula once, the volumes
-    through hypgeo's unchecked kernels _cap and _ball.  It never raises
-    on a non-good cell; the certificate records good=False with the margins
-    so callers can decide to split.  slack must be finite and positive, so on
-    a good cell every margin is > 0, as the sigma and psi enclosures need.
+    This is the cell core and the only place the cell formulas are written.
+    It checks the cell once, computes each endpoint value once and applies
+    each formula once, the volumes through hypgeo's unchecked kernels _cap
+    and _ball.  It never raises on a non-good cell; the certificate records
+    good=False with the margins so callers can decide to split.  slack must
+    be finite and positive, so on a good cell every margin is > 0, as the
+    sigma and psi enclosures need.
     """
     if not 0.0 < slack < math.inf:
         raise DomainError(f"slack must be finite and positive, got {slack!r}")
-    (c_r, c_rlo, c_rhi, s_rhi, c_lo, c_hi, s_lo, s_hi, om_lo, om_hi, th_lo,
-     sh_om_lo, ch_om_lo, ch_om_hi, g_lo, g_hi) = _ends(params, d_lo, d_hi)
-    h_lo, h_hi = _h(c_r, c_rlo, c_rhi, c_lo, c_hi, s_lo, s_hi)
-    margins = _margins(h_lo, h_hi, s_rhi, sh_om_lo, g_hi)
+    _check_cell(params, d_lo, d_hi)
+    # With r = eps/2, cosh(R - d_lo) is the largest cosh(R - D) on the cell
+    # and cosh(R - d_hi) the smallest.  omega and theta, the tangent cone's
+    # generator and half-angle, are formed from the shared values rather than
+    # through hypgeo.omega/theta, whose r < d checks hold here: CertifyParams
+    # and the cell check give d >= R/2 - eps/4 > 3 eps/4 > eps/2 = r.
+    r = params.half_eps
+    R = params.R
+    c_r, s_r = math.cosh(r), math.sinh(r)
+    c_lo, c_hi = math.cosh(d_lo), math.cosh(d_hi)
+    s_lo, s_hi = math.sinh(d_lo), math.sinh(d_hi)
+    c_rlo, c_rhi = math.cosh(R - d_lo), math.cosh(R - d_hi)
+    s_rhi = math.sinh(R - d_hi)
+    om_lo, om_hi = acosh_clamped(c_lo / c_r), acosh_clamped(c_hi / c_r)
+    th_lo, th_hi = _asin_clamped(s_r / s_lo), _asin_clamped(s_r / s_hi)
+    sh_om_lo = math.sinh(om_lo)
+    # sinh omega sin theta, the smallest on the cell at d_lo and the largest at d_hi
+    g_lo, g_hi = sh_om_lo * math.sin(th_lo), math.sinh(om_hi) * math.sin(th_hi)
+    num_lo = 2.0 * c_rhi * c_r * c_lo - (c_rlo * c_rlo + c_r * c_r + c_hi * c_hi) + 1.0
+    num_hi = 2.0 * c_rlo * c_r * c_hi - (c_rhi * c_rhi + c_r * c_r + c_lo * c_lo) + 1.0
+    h_lo, h_hi = num_lo / (s_hi * s_hi), num_hi / (s_lo * s_lo)
+    margins = (h_lo + 1.0, s_rhi * s_rhi - h_hi, sh_om_lo - g_hi)
     if not (margins[0] > slack and margins[1] > slack and margins[2] > slack):
         return SubintervalCertificate(d_lo, d_hi, h_lo, h_hi, margins, False)
-    sg_lo, sg_hi = _sigma(c_rlo, c_rhi, h_lo, h_hi)
-    p_lo, p_hi = _psi(ch_om_lo, ch_om_hi, g_lo, g_hi)
-    r = params.half_eps
-    wl = _cap(params.R - d_hi, sg_hi) + _cap(r, d_hi - sg_lo)
+    sg_lo = acosh_clamped(c_rhi / math.sqrt(1.0 + h_hi))  # needs margins 1 and 2 > 0
+    sg_hi = acosh_clamped(c_rlo / math.sqrt(1.0 + h_lo))
+    p_lo = acosh_clamped(math.cosh(om_lo) / math.sqrt(1.0 + g_hi * g_hi))  # needs margin 3 > 0
+    p_hi = acosh_clamped(math.cosh(om_hi) / math.sqrt(1.0 + g_lo * g_lo))
+    wl = _cap(R - d_hi, sg_hi) + _cap(r, d_hi - sg_lo)
     wc = _ball(om_lo) / 2.0 * (1.0 - math.cos(th_lo)) - _cap(om_hi, p_lo)
     ph = wl + wc - _cap(r, d_lo - p_hi)
     return SubintervalCertificate(

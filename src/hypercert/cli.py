@@ -136,7 +136,7 @@ def _is_prime(n: int) -> bool:
 
 def _parse_epsilon(text: str) -> float:
     if text.strip() == "log3":
-        return math.log(3.0)
+        return certify_mod.REFERENCE_EPSILON
     try:
         return float(text)
     except ValueError:
@@ -145,7 +145,7 @@ def _parse_epsilon(text: str) -> float:
 
 def _parse_radius(text: str) -> float:
     if text.strip() in ("log3-paper", "reference"):
-        return 2.0 * math.log(3.0) + 0.15
+        return certify_mod.REFERENCE_RADIUS
     try:
         return float(text)
     except ValueError:
@@ -394,11 +394,9 @@ def _mc_setup(shape: str, params: tuple[float, ...]):
         return (lambda p: mcoracle.in_ball(p, base, r)), base, r, hypgeo.ball_volume(r)
     if shape == "cap":
         r, w = params
-        toward = mcoracle.axis_point(max(1.0, abs(w) + 1.0))
-        return (
-            lambda p: mcoracle.in_cap(p, base, toward, r, w),
-            base, r, hypgeo.cap_volume(r, w),
-        )
+        closed = hypgeo.cap_volume(r, w)
+        toward = mcoracle.axis_point(min(abs(w), r) + 1.0)  # sets only the cap's direction
+        return (lambda p: mcoracle.in_cap(p, base, toward, r, w)), base, r, closed
     if shape == "lens":
         r1, r2, d = params
         if not (r2 < min(d, r1) and d < r1 + r2 and r1 < r2 + d):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import DomainError, _check_radius, ball_volume, omega, psi, theta
+from .hypgeo import MAX_RADIUS, DomainError, _check_radius, ball_volume, omega, psi, theta
 
 __all__ = [
     "BASEPOINT",
@@ -89,7 +89,9 @@ def hpoint(x1: float, x2: float, x3: float) -> np.ndarray:
 
 
 def axis_point(t: float) -> np.ndarray:
-    """The point at signed distance t from the basepoint along the x1-axis."""
+    """The point at signed distance t from the basepoint along the x1-axis; |t| <= MAX_RADIUS."""
+    if not abs(t) <= MAX_RADIUS:
+        raise DomainError(f"axis distance must be at most {MAX_RADIUS} in size, got {t}")
     return np.array([math.cosh(t), math.sinh(t), 0.0, 0.0])
 
 

@@ -165,11 +165,41 @@ class TestEnclosures:
         assert min(margins[0], margins[1]) <= 0
         with pytest.raises(DomainError):
             sigma_bounds(ref_params, lo, hi)
+        with pytest.raises(DomainError):
+            psi_bounds(ref_params, lo, hi)
 
     def test_psi_bounds_rejects_cells_outside_interval(self, ref_params):
         lo, hi = ref_params.interval
         with pytest.raises(DomainError):
             psi_bounds(ref_params, lo - 0.05, lo)
+
+
+class TestStageFunctions:
+    """h_bounds, goodness_margins, sigma_bounds and psi_bounds return phi_lower's fields."""
+
+    @staticmethod
+    def _assert_fields_of_cell(params, d_lo, d_hi):
+        cell = phi_lower(params, d_lo, d_hi)
+        assert h_bounds(params, d_lo, d_hi) == (cell.h_lo, cell.h_hi)
+        assert goodness_margins(params, d_lo, d_hi) == cell.margins
+        if cell.good:
+            assert sigma_bounds(params, d_lo, d_hi) == (cell.sigma_lo, cell.sigma_hi)
+            assert psi_bounds(params, d_lo, d_hi) == (cell.psi_lo, cell.psi_hi)
+        else:
+            for stage in (sigma_bounds, psi_bounds):
+                with pytest.raises(DomainError):
+                    stage(params, d_lo, d_hi)
+
+    def test_reference_cells(self, ref_params):
+        pts = reference_breakpoints()
+        for a, b in zip(pts[:-1], pts[1:]):
+            self._assert_fields_of_cell(ref_params, a, b)
+
+    @settings(max_examples=40)
+    @given(_eps, _u, _unit, _unit)
+    def test_random_cells(self, eps, u, t0, t1):
+        params = _params(eps, u)
+        self._assert_fields_of_cell(params, *_subcell(params, t0, t1))
 
 
 class TestPhiLower:

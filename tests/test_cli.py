@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from hypercert import QuadratureError
+from hypercert import QuadratureError, ball_volume
 from hypercert.cli import main
 
 LOG3 = math.log(3.0)
@@ -232,6 +232,9 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
     pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
     pytest.param(("mc-check", "--shape", "ball", "--params", "400"), id="mc-check-ball-overflow"),
+    pytest.param(("mc-check", "--shape", "icecream", "--params", "1,800"),
+                 id="mc-check-icecream-far"),
+    pytest.param(("mc-check", "--shape", "phi", "--params", "800.5,1,800"), id="mc-check-phi-far"),
     pytest.param(("--samples", "0", "mc-check", "--shape", "ball"), id="global-samples-0"),
     pytest.param(("--seed", "-1", "mc-check", "--shape", "ball", "--samples", "10"),
                  id="global-seed-negative"),
@@ -300,6 +303,16 @@ class TestMcCheck:
                         "mc-check", "--shape", "ball", "--params", radius)
         assert result.exit_code == 0
         assert json.loads(result.output)["within3Sigma"] is True
+
+    @pytest.mark.parametrize("w", ["800", "-800"])
+    def test_cap_with_far_plane(self, runner, w):
+        # the cap's axis point only sets a direction, so a far plane is not an overflow
+        result = invoke(runner, "--format", "json", "--samples", "20000",
+                        "mc-check", "--shape", "cap", "--params", f"1,{w}")
+        assert result.exit_code == 0, result.output
+        obj = json.loads(result.stdout)
+        assert obj["closedForm"] == (0.0 if w == "800" else ball_volume(1.0))
+        assert obj["mean"] == obj["closedForm"]
 
     def test_bad_params_exit_two(self, runner):
         result = runner.invoke(main, ["mc-check", "--shape", "lens", "--params", "0.5,0.7,3.0"])

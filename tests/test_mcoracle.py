@@ -44,6 +44,11 @@ class TestDistance:
     def test_translation_distance(self, t):
         assert hdist(BASEPOINT, axis_point(t)) == pytest.approx(t, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [400.0, -400.0, math.nan, math.inf])
+    def test_axis_point_rejects_far_distances(self, t):
+        with pytest.raises(DomainError):
+            axis_point(t)
+
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
