@@ -6,8 +6,9 @@ round-trip form and a non-finite scalar as null; csv and human output give reals
 17 significant digits.  Either way parsing recovers the exact binary64 values.
 
 Exit codes: 0 success, 1 certification or cross-check failure, 2 invalid input.
-Every global option can also be supplied through an HYPERCERT_-prefixed
-environment variable (e.g. HYPERCERT_FORMAT=json, HYPERCERT_QUAD_TOL=1e-12).
+Each of the six global options can also be supplied through its environment
+variable (HYPERCERT_FORMAT, HYPERCERT_OUTPUT, HYPERCERT_QUAD_TOL, HYPERCERT_SLACK,
+HYPERCERT_SEED, HYPERCERT_SAMPLES); subcommand options take none.
 """
 
 from __future__ import annotations
@@ -172,19 +173,20 @@ class _Group(click.Group):
     command_class = _Command
 
 
-@click.group(cls=_Group, context_settings={"auto_envvar_prefix": "HYPERCERT"})
+@click.group(cls=_Group)
 @click.option("--format", "-f", "fmt", type=click.Choice(["json", "csv", "human"]), default="human",
               show_default=True, envvar="HYPERCERT_FORMAT", help="Output format.")
 @click.option("--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
-              help="Write output to a file instead of stdout.")
+              envvar="HYPERCERT_OUTPUT", help="Write output to a file instead of stdout.")
 @click.option("--quad-tol", type=float, default=density_mod.DEFAULT_QUADRATURE.abs_tol,
-              show_default=True, help="Absolute tolerance for the density quadrature.")
+              show_default=True, envvar="HYPERCERT_QUAD_TOL",
+              help="Absolute tolerance for the density quadrature.")
 @click.option("--slack", type=float, default=certify_mod.DEFAULT_SLACK, show_default=True,
-              help="Decision slack subtracted before goodness/target comparisons.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+              envvar="HYPERCERT_SLACK", help="Decision slack subtracted before goodness/target comparisons.")
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, envvar="HYPERCERT_SEED",
               help="Seed for Monte-Carlo sampling.")
 @click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
-              help="Sample count for Monte-Carlo estimates.")
+              envvar="HYPERCERT_SAMPLES", help="Sample count for Monte-Carlo estimates.")
 @click.pass_context
 def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float,
          seed: int, samples: int) -> None:

@@ -2,8 +2,8 @@
 
 All lengths are hyperbolic (curvature -1), all angles are in radians.  Every
 function is pure, so concurrent use is safe.  The public functions validate
-their inputs; the private kernels _ball and _cap assume checked ones: a radius
-in (0, MAX_RADIUS] and a finite w.
+their inputs, every length in (0, MAX_RADIUS]; the private kernels _ball and
+_cap assume checked ones: a radius in (0, MAX_RADIUS] and a finite w.
 
 The building blocks:
 
@@ -63,10 +63,11 @@ def _check_positive(**values: float) -> None:
             raise DomainError(f"{name} must be finite and positive, got {v!r}")
 
 
-def _check_radius(r: float, name: str = "r") -> None:
-    if not 0.0 < r <= MAX_RADIUS:
-        raise DomainError(f"{name} must be positive and at most {MAX_RADIUS}, as sinh 2r "
-                          f"overflows near there; got {r!r}")
+def _check_radius(**values: float) -> None:
+    for name, v in values.items():
+        if not 0.0 < v <= MAX_RADIUS:
+            raise DomainError(f"{name} must be positive and at most {MAX_RADIUS}, as sinh 2r "
+                              f"overflows near there; got {v!r}")
 
 
 def acosh_clamped(x: float) -> float:
@@ -105,7 +106,7 @@ def _cap(r: float, w: float) -> float:
 
 def ball_volume(r: float) -> float:
     """Volume pi*(sinh(2r) - 2r) of a ball of radius r > 0."""
-    _check_radius(r)
+    _check_radius(r=r)
     return _ball(r)
 
 
@@ -120,7 +121,7 @@ def cap_volume(r: float, w: float) -> float:
     On |w| <= r this is the Fermi-coordinate integral
     pi * Integral_w^r (cosh^2(r) sech^2(u) - 1) du in closed form.
     """
-    _check_radius(r)
+    _check_radius(r=r)
     _check_finite(w=w)
     return _cap(r, w)
 
@@ -131,10 +132,14 @@ def eta(x: float, y: float, z: float) -> float:
     For a triangle with side lengths |P1 E| = x, |P2 E| = y, |P1 P2| = z the
     squared sinh of the altitude from E onto line P1 P2 equals eta(x, y, z);
     the triple is realizable iff eta >= 0.  Always eta(x,y,z) <= sinh^2(x).
+    Lengths run up to MAX_RADIUS; a triple whose numerator overflows binary64
+    raises DomainError.
     """
-    _check_positive(x=x, y=y, z=z)
+    _check_radius(x=x, y=y, z=z)
     cx, cy, cz = math.cosh(x), math.cosh(y), math.cosh(z)
     num = 2.0 * cx * cy * cz - (cx * cx + cy * cy + cz * cz) + 1.0
+    if not math.isfinite(num):
+        raise DomainError(f"eta({x}, {y}, {z}) overflows binary64")
     sz = math.sinh(z)
     return num / (sz * sz)
 
@@ -192,7 +197,7 @@ def omega(r: float, d: float) -> float:
     From a point at distance d > r from the center of a ball of radius r,
     the segments tangent to the ball all have this length.
     """
-    _check_positive(r=r, d=d)
+    _check_radius(r=r, d=d)
     if r >= d:
         raise DomainError(f"omega requires r < d, got r={r}, d={d}")
     return acosh_clamped(math.cosh(d) / math.cosh(r))
@@ -200,7 +205,7 @@ def omega(r: float, d: float) -> float:
 
 def theta(r: float, d: float) -> float:
     """Half-angle arcsin(sinh r / sinh d) subtended by a ball of radius r at distance d > r."""
-    _check_positive(r=r, d=d)
+    _check_radius(r=r, d=d)
     if r >= d:
         raise DomainError(f"theta requires r < d, got r={r}, d={d}")
     return _asin_clamped(math.sinh(r) / math.sinh(d))
@@ -220,7 +225,7 @@ def psi(a: float, beta: float) -> float:
     which returns exactly a at beta = 0 and collapses cleanly to 0 at
     beta = pi/2 instead of amplifying roundoff through arccosh near 1.
     """
-    _check_positive(a=a)
+    _check_radius(a=a)
     _check_finite(beta=beta)
     sa = math.sinh(a)
     sb = math.sin(beta)
@@ -235,7 +240,7 @@ def cone_volume(a: float, beta: float) -> float:
     Only beta in [0, pi/2] is accepted; wider cones are rejected rather than
     extrapolated.
     """
-    _check_positive(a=a)
+    _check_radius(a=a)
     _check_finite(beta=beta)
     if not 0.0 <= beta <= math.pi / 2.0:
         raise DomainError(f"cone angle must lie in [0, pi/2], got {beta!r}")
@@ -262,7 +267,7 @@ def phi(rho: float, r: float, d: float) -> float:
     treats it as 0, the same roundoff allowance as acosh_clamped; anything
     more negative still raises DomainError.  in_phi_domain stays exact.
     """
-    _check_positive(rho=rho, r=r, d=d)
+    _check_radius(rho=rho, r=r, d=d)
     if r >= d:
         raise DomainError(f"phi requires r < d, got r={r}, d={d}")
     if eta(rho, r, d) < -ACOSH_SLOP:

@@ -200,7 +200,7 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.
     reproduces the identical stream.
     """
     assert_on_sheet(center)
-    _check_radius(radius, "radius")
+    _check_radius(radius=radius)
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     if not 0 <= seed < 2**64:
@@ -247,31 +247,26 @@ def _on_sheet(*points: np.ndarray) -> None:
         assert_on_sheet(q)
 
 
-def _cos_angle_at(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # cosine of the angle at anchor between the geodesics anchor->p and
-    # anchor->toward, by the hyperbolic law of cosines; p == anchor gets
-    # cosine 1 (the apex belongs to every cone).  Returns (cos, dist(anchor,p)).
-    d_ax = float(_dist(anchor, toward))
-    if d_ax <= 0.0:
+def _axial(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The axis frame: (x, y) = (-<p, e>, <p, anchor>) = (sinh s cos a, cosh s)
+    # for p at distance s from anchor and angle a to the axis, where e is the
+    # unit tangent at anchor that points along the axis to toward: <e, e> = -1
+    # and <e, anchor> = 0.  e is toward - anchor less its anchor component.
+    delta = toward - anchor
+    e = delta - minkowski_dot(anchor, delta) * anchor
+    norm2 = -float(minkowski_dot(e, e))
+    if not norm2 > 0.0:
         raise DomainError("degenerate axis: anchor and toward coincide")
-    d_p = _dist(p, anchor)
-    d_pt = _dist(p, toward)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_ang = (np.cosh(d_p) * math.cosh(d_ax) - np.cosh(d_pt)) / (np.sinh(d_p) * math.sinh(d_ax))
-    cos_ang = np.where(d_p < 1e-14, 1.0, np.clip(cos_ang, -1.0, 1.0))
-    return cos_ang, d_p
-
-
-def _halfspace(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray, offset: float) -> np.ndarray:
-    cos_ang, d_p = _cos_angle_at(p, anchor, toward)
-    return np.tanh(d_p) * cos_ang >= math.tanh(offset)
+    return minkowski_dot(p, e / -math.sqrt(norm2)), minkowski_dot(p, anchor)
 
 
 def _cone(p: np.ndarray, apex: np.ndarray, toward: np.ndarray, gen_length: float,
           angle: float) -> np.ndarray:
-    cos_ang, d_p = _cos_angle_at(p, apex, toward)
-    axis_len = psi(gen_length, angle)
-    return (cos_ang >= math.cos(angle)) & (np.tanh(d_p) * cos_ang <= math.tanh(axis_len))
+    # cos a >= cos angle, as x |x| >= c |c| sinh^2 s (t -> t |t| increases),
+    # and the axial coordinate artanh(x / y) at most psi
+    x, y = _axial(p, apex, toward)
+    c = math.cos(angle)
+    return (x * np.abs(x) >= c * abs(c) * (y * y - 1.0)) & (x <= math.tanh(psi(gen_length, angle)) * y)
 
 
 def in_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
@@ -283,11 +278,13 @@ def in_ball(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
 def in_halfspace(p: np.ndarray, anchor: np.ndarray, toward: np.ndarray, offset: float) -> np.ndarray:
     """Points whose axial coordinate along the anchor->toward geodesic is >= offset.
 
-    The axial coordinate t of p satisfies tanh t = tanh(dist(anchor, p)) * cos(angle),
-    the projection formula for a hyperbolic right triangle.
+    For p at distance s from anchor and angle a to the axis, the axial
+    coordinate t satisfies tanh t = tanh s cos a (the projection formula for
+    a hyperbolic right triangle), which is x / y in the axis frame.
     """
     _on_sheet(p, anchor, toward)
-    return _halfspace(p, anchor, toward, offset)
+    x, y = _axial(p, anchor, toward)
+    return x >= math.tanh(offset) * y
 
 
 def in_cap(
@@ -298,7 +295,8 @@ def in_cap(
     Envelope: ball(center, radius).
     """
     _on_sheet(p, center, toward)
-    return (_dist(p, center) <= radius) & _halfspace(p, center, toward, w)
+    x, y = _axial(p, center, toward)
+    return (_dist(p, center) <= radius) & (x >= math.tanh(w) * y)
 
 
 def in_lens(

@@ -379,6 +379,27 @@ class TestEnvironmentOverrides:
                                catch_exceptions=False)
         assert json.loads(result.output)[key] == float(value)
 
+    # the name each subcommand option would read under click's auto_envvar_prefix="HYPERCERT"
+    SUBCOMMAND_VARS = [f"HYPERCERT_{name.replace('-', '_').upper()}_{param.name.upper()}"
+                       for name, command in main.commands.items() for param in command.params]
+
+    @pytest.mark.parametrize("args", [
+        ["--samples", "2000", "mc-check", "--shape", "phi"],
+        ["optimize", "--epsilon", "1.0", "--grid", "3"],
+        ["bound", "--volume", "2.0"],
+    ])
+    def test_subcommand_options_take_no_environment_variable(self, runner, args):
+        # were they read, each "1" would change the run: one sample, max depth 1, cusped, prime 1
+        assert len(self.SUBCOMMAND_VARS) == 19
+        plain = invoke(runner, "--format", "json", *args)
+        assert plain.exit_code == 0
+        result = invoke(runner, "--format", "json", *args, env=dict.fromkeys(self.SUBCOMMAND_VARS, "1"))
+        assert (result.exit_code, result.output) == (0, plain.output)
+
+    def test_required_option_not_taken_from_environment(self, runner):
+        result = runner.invoke(main, ["mc-check"], env={"HYPERCERT_MC_CHECK_SHAPE": "ball"})
+        assert result.exit_code == 2 and "--shape" in result.output
+
 IMPORT_PROBE = """
 import sys
 from click.testing import CliRunner

@@ -332,3 +332,20 @@ class TestDomainTypes:
     def test_in_phi_domain_requires_r_below_d(self):
         assert in_phi_domain(1.3, 0.55, 1.05)
         assert not in_phi_domain(1.3, 1.05, 0.55)
+
+
+# Lengths past MAX_RADIUS overflow cosh and sinh, and (240, 240, 240) overflows
+# eta's numerator: each used to give nan, inf, a wrong finite value or OverflowError.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: eta(400.0, 1.0, 400.5), id="eta-far"),
+    pytest.param(lambda: sigma(400.0, 1.0, 400.5), id="sigma-far"),
+    pytest.param(lambda: omega(1.0, 800.0), id="omega-far"),
+    pytest.param(lambda: theta(1.0, 800.0), id="theta-far"),
+    pytest.param(lambda: psi(800.0, 0.5), id="psi-far"),
+    pytest.param(lambda: eta(240.0, 240.0, 240.0), id="eta-overflow"),
+    pytest.param(lambda: sigma(240.0, 240.0, 240.0), id="sigma-overflow"),
+    pytest.param(lambda: lens_volume(240.0, 240.0, 240.0), id="lens-overflow"),
+])
+def test_closed_forms_reject_overflowing_lengths(call):
+    with pytest.raises(DomainError):
+        call()

@@ -321,6 +321,57 @@ class TestPredicates:
         assert abs(est.mean - closed) < 3 * est.standard_error
 
 
+
+class TestGenericAxis:
+    """Predicates about an axis whose anchor is not the basepoint and whose direction is not x1.
+
+    Points are built where the axis is the x1-axis through the basepoint, then
+    rotated about the basepoint and carried to the anchor, so their axial
+    coordinate and angle to the axis are known exactly.
+    """
+
+    ANCHOR = hpoint(0.4, -0.3, 0.5)
+    ROTATION = np.eye(4)
+    ROTATION[1:, 1:] = np.linalg.qr(np.random.default_rng(41).normal(size=(3, 3)))[0]
+    TWIST = 0.7  # the direction about the axis in which points leave it
+
+    def place(self, *local):
+        return translate_to(np.stack(local) @ self.ROTATION, self.ANCHOR)
+
+    def fermi(self, t, h):
+        # axial coordinate t, distance h from the axis
+        return np.array([math.cosh(t) * math.cosh(h), math.sinh(t) * math.cosh(h),
+                         math.sinh(h) * math.cos(self.TWIST), math.sinh(h) * math.sin(self.TWIST)])
+
+    def polar(self, s, angle):
+        # distance s from the anchor, at the given angle to the axis
+        ring = math.sinh(s) * math.sin(angle)
+        return np.array([math.cosh(s), math.sinh(s) * math.cos(angle),
+                         ring * math.cos(self.TWIST), ring * math.sin(self.TWIST)])
+
+    @property
+    def toward(self):
+        return self.place(axis_point(1.0))[0]
+
+    @pytest.mark.parametrize("offset", [-0.7, 0.0, 0.2, 0.6])
+    def test_halfspace_flips_at_offset(self, offset):
+        pts = self.place(self.fermi(offset + 1e-9, 0.4), self.fermi(offset - 1e-9, 0.4))
+        assert in_halfspace(pts, self.ANCHOR, self.toward, offset).tolist() == [True, False]
+
+    @pytest.mark.parametrize("w", [-0.4, 0.3])
+    def test_cap_flips_at_plane(self, w):
+        pts = self.place(self.fermi(w + 1e-9, 0.2), self.fermi(w - 1e-9, 0.2))
+        assert in_cap(pts, self.ANCHOR, self.toward, 1.0, w).tolist() == [True, False]
+
+    def test_cone_flips_at_angle_and_base(self):
+        a, beta = 1.0, 0.5
+        base = psi(a, beta)
+        sides = self.place(self.polar(0.5, beta - 1e-9), self.polar(0.5, beta + 1e-9))
+        assert in_cone(sides, self.ANCHOR, self.toward, a, beta).tolist() == [True, False]
+        ends = self.place(self.fermi(base - 1e-9, 0.05), self.fermi(base + 1e-9, 0.05))
+        assert in_cone(ends, self.ANCHOR, self.toward, a, beta).tolist() == [True, False]
+
+
 class TestClosedFormAnchors:
     """The fixed configurations used as cross-check anchors throughout."""
 
