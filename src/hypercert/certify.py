@@ -32,17 +32,15 @@ the JSON loader both hand breakpoints to _tile, which evaluates every cell
 with phi_lower.  The loader reads only epsilon, R, slack and the breakpoints
 from a file; every other stored field must equal what phi_lower gives.
 
-The adaptive certifier bisects cells depth-first and, at each split,
-refines the weaker half (the lower phi_lo; a non-good cell is weakest)
-first.  Every search keeps a memo of the cells it has evaluated, keyed by
-their endpoints: largest_certifiable_c shares one memo across all passes of
-its bisection over c, so its failing passes, which all dive toward the
-minimiser of Phi, reuse each other's cells.  The order changes neither which
-targets succeed nor the certificates returned.
+There is one partition search, a best-first branch and bound: it keeps the
+current tiling of I in a heap, always splits the weakest cell, and evaluates
+each cell once.  certify_lower_bound runs it to a fixed target and
+largest_certifiable_c to within c_tol of U, the least Phi it has sampled.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import warnings
@@ -264,17 +262,22 @@ def phi_lower(
 ) -> SubintervalCertificate:
     """Evaluate one cell: margins, goodness, and (when good) all lower bounds.
 
-    This is the cell core and the only place the cell formulas are written.
-    It checks the cell once, computes each endpoint value once and applies
-    each formula once, the volumes through hypgeo's unchecked kernels _cap
-    and _ball.  It never raises on a non-good cell; the certificate records
-    good=False with the margins so callers can decide to split.  slack must
-    be finite and positive, so on a good cell every margin is > 0, as the
-    sigma and psi enclosures need.
+    It checks the cell once.  Its body _cell is the cell core and the only
+    place the cell formulas are written: it computes each endpoint value once
+    and applies each formula once, the volumes through hypgeo's unchecked
+    kernels _cap and _ball.  It never raises on a non-good cell; the
+    certificate records good=False with the margins so callers can decide to
+    split.  slack must be finite and positive, so on a good cell every margin
+    is > 0, as the sigma and psi enclosures need.
     """
     if not 0.0 < slack < math.inf:
         raise DomainError(f"slack must be finite and positive, got {slack!r}")
     _check_cell(params, d_lo, d_hi)
+    return _cell(params, d_lo, d_hi, slack)
+
+
+def _cell(params: CertifyParams, d_lo: float, d_hi: float, slack: float) -> SubintervalCertificate:
+    """phi_lower unchecked, also on the point cell [m, m], where a good cell's phi_lo is Phi(m)."""
     # With r = eps/2, cosh(R - d_lo) is the largest cosh(R - D) on the cell
     # and cosh(R - d_hi) the smallest.  omega and theta, the tangent cone's
     # generator and half-angle, are formed from the shared values rather than
@@ -369,75 +372,70 @@ def verify_reference_partition(slack: float = DEFAULT_SLACK) -> PartitionCertifi
     return cert
 
 
-def _strength(cell: SubintervalCertificate) -> float:
-    """phi_lo of a good cell, -inf for a non-good one: the weaker half is refined first."""
-    return cell.phi_lo if cell.good and cell.phi_lo is not None else -math.inf
-
-
-def _refine(
+def _search(
     params: CertifyParams,
     target_c: float,
     max_depth: int,
     slack: float,
-    memo: dict[tuple[float, float], SubintervalCertificate],
-) -> CertificationResult:
-    """One pass at target_c: bisect I until every cell is good with phi_lo - slack > target_c.
+    c_tol: Optional[float] = None,
+) -> tuple[list, str, float]:
+    """The one partition search: split the weakest cell of I until it meets the target.
 
-    The search is depth-first.  Each split evaluates both halves and descends
-    into the weaker one first, toward the minimiser of Phi.  That does not
-    make a failing pass short: where phi_lo lies within a hair of target_c
-    over a stretch of I, every cell there is split, down toward max_depth,
-    before one cell exhausts it.  At eps = 0.01, R = 0.0225 and target_c =
-    5.136e-7 the failing pass evaluates 554 745 cells, half of them leaves
-    that meet the target, and fails on a cell at D = 0.0097.
+    The tiling of I is a heap of (phi_lo, d_lo, depth, cell), phi_lo -inf for
+    a non-good cell, so the weakest cell (ties to the smaller d_lo) is on
+    top.  The loop ends when it meets the target, phi_lo - slack > target,
+    for then every cell does.  It also ends when the weakest cell is at
+    max_depth or its midpoint rounds to an end; the message says which.
+    Otherwise the weakest cell is bisected and phi_lower evaluates each half
+    once.  U is the least Phi sampled by _phi_point: at D = eps and, with
+    c_tol, at the midpoint of every split.
 
-    Cells are looked up in memo, keyed by (d_lo, d_hi), before phi_lower
-    evaluates them; a cell's value does not depend on target_c, so one memo
-    serves every pass of a search at fixed params and slack.
+    Without c_tol the target is target_c.  When Phi(eps) - slack does not
+    exceed it, no tiling can meet it, and the cells that end at eps count as
+    weakest: the search dives there and fails in ~2 max_depth evaluations.
+    With c_tol, target_c is the cap and the target is min(U, cap) - c_tol.
 
-    Which cells become leaves does not depend on the order: a cell is a leaf
-    exactly when it meets the target, and is split otherwise.  So success or
-    failure, and the certificate (the leaves sorted by d_lo), are the same as
-    for a plain left-to-right search.  Only the witness of a failing pass
-    depends on the order: it is the cell on the weakest path that reached
-    max_depth or floating-point resolution.
+    Returns the heap, the message ("" when the target was met) and U.
     """
-
-    def evaluate(d_lo: float, d_hi: float) -> SubintervalCertificate:
-        cell = memo.get((d_lo, d_hi))
-        if cell is None:
-            cell = memo[(d_lo, d_hi)] = phi_lower(params, d_lo, d_hi, slack)
-        return cell
-
     lo, hi = params.interval
-    stack: list[tuple[SubintervalCertificate, int]] = [(evaluate(lo, hi), 0)]
-    leaves: list[SubintervalCertificate] = []
-    while stack:
-        cell, depth = stack.pop()
-        if cell.good and cell.phi_lo is not None and cell.phi_lo - slack > target_c:
-            leaves.append(cell)
-            continue
-        d_lo, d_hi = cell.d_lo, cell.d_hi
+    upper = _phi_point(params, hi, slack)
+    cap = target_c
+    if c_tol is not None:
+        target_c = min(upper, cap) - c_tol
+    hopeless = c_tol is None and upper - slack <= target_c
+
+    def entry(cell: SubintervalCertificate, depth: int) -> tuple:
+        weak = not cell.good or hopeless and cell.d_hi == hi
+        return -math.inf if weak else cell.phi_lo, cell.d_lo, depth, cell
+
+    heap = [entry(phi_lower(params, lo, hi, slack), 0)]
+    while True:
+        strength, d_lo, depth, cell = heap[0]
+        if strength - slack > target_c:
+            return heap, "", upper
+        d_hi = cell.d_hi
         if depth >= max_depth:
-            return CertificationResult(
-                False, None, cell,
-                f"max depth {max_depth} exhausted on cell [{d_lo}, {d_hi}] "
-                f"(margins={cell.margins}, phi_lo={cell.phi_lo})",
-            )
+            return heap, (f"max depth {max_depth} exhausted on cell [{d_lo}, {d_hi}] "
+                          f"(margins={cell.margins}, phi_lo={cell.phi_lo})"), upper
         mid = 0.5 * (d_lo + d_hi)
         if not d_lo < mid < d_hi:
-            return CertificationResult(
-                False, None, cell,
-                f"cell [{d_lo}, {d_hi}] reached floating-point resolution without certifying",
-            )
-        left, right = evaluate(d_lo, mid), evaluate(mid, d_hi)
-        if _strength(right) < _strength(left):
-            left, right = right, left
-        stack.append((right, depth + 1))
-        stack.append((left, depth + 1))
-    leaves.sort(key=lambda c: c.d_lo)
-    cert = _assemble(params, tuple(leaves), slack)
-    return CertificationResult(True, cert, None, "")
+            return heap, (f"cell [{d_lo}, {d_hi}] reached floating-point resolution "
+                          "without certifying"), upper
+        heapq.heapreplace(heap, entry(phi_lower(params, d_lo, mid, slack), depth + 1))
+        heapq.heappush(heap, entry(phi_lower(params, mid, d_hi, slack), depth + 1))
+        if c_tol is not None:
+            upper = min(upper, _phi_point(params, mid, slack))
+            target_c = min(upper, cap) - c_tol
+
+
+def _phi_point(params: CertifyParams, d: float, slack: float) -> float:
+    """Phi(d), by the cell core on the point cell [d, d]; inf where that cell is not good."""
+    point = _cell(params, d, d, slack)
+    return point.phi_lo if point.good else math.inf  # type: ignore[return-value]
+
+
+def _leaves(params: CertifyParams, heap: list, slack: float) -> PartitionCertificate:
+    return _assemble(params, tuple(entry[3] for entry in sorted(heap, key=lambda e: e[1])), slack)
 
 
 def _check_max_depth(max_depth: int) -> None:
@@ -453,17 +451,30 @@ def certify_lower_bound(
 ) -> CertificationResult:
     """Adaptively partition I until every cell is good with phi_lo - slack > target_c.
 
-    Cells that fail are bisected at their midpoint up to max_depth, the
-    weaker half (lower phi_lo, a non-good cell weakest of all) first, and no
-    cell is evaluated twice.  Depth exhaustion (or a cell narrower than
-    floating-point resolution) fails the run and returns the offending cell as
-    witness; with the weaker-half-first order that is a cell near where Phi is
-    least.  The certificate does not depend on the order of the search.
+    The weakest cell (least phi_lo, a non-good cell weakest of all) is split
+    until it meets the target.  A cell is split exactly when it misses the
+    target, so the certificate does not depend on the order.  The run fails
+    when the weakest cell is at max_depth or floating-point resolution, and
+    returns it as witness: a cell near where Phi is least.
     """
     _check_finite(target_c=target_c)
     _check_positive(slack=slack)
     _check_max_depth(max_depth)
-    return _refine(params, target_c, max_depth, slack, {})
+    heap, message, _ = _search(params, target_c, max_depth, slack)
+    if message:
+        return CertificationResult(False, None, heap[0][3], message)
+    return CertificationResult(True, _leaves(params, heap, slack), None, "")
+
+
+class _Found(tuple):
+    """largest_certifiable_c's (c, certificate) pair, with the gap min(U, cap) - c as .gap."""
+
+    gap: float
+
+    def __new__(cls, c: float, certificate: PartitionCertificate, gap: float) -> "_Found":
+        found = super().__new__(cls, (c, certificate))
+        found.gap = gap
+        return found
 
 
 def largest_certifiable_c(
@@ -472,22 +483,20 @@ def largest_certifiable_c(
     c_tol: float = 1e-5,
     max_depth: int = DEFAULT_MAX_DEPTH,
     slack: float = DEFAULT_SLACK,
-) -> tuple[float, PartitionCertificate]:
-    """Largest c (to absolute tolerance c_tol) for which certification succeeds.
+) -> _Found:
+    """The largest c, to within c_tol of the best this cell core can certify.
 
-    The search is capped at B(eps/2): the downstream valence arithmetic needs
-    B(eps/2) > c, so nothing is gained by certifying past the cap.  c_tol must
-    be positive and finite; the bisection also ends when the midpoint of its
-    bracket rounds to an end.  The c returned is positive, or
-    CertificationError is raised: when the cap is not positive, or when the
-    bisection ends at c = 0, as it does when the cap is not above c_tol.
-
-    The cap pass, the c = 0 pass and every bisection pass share one memo of
-    evaluated cells.  Each failing pass dives weaker half first toward the
-    minimiser of Phi along the same chain of cells, so after the first few
-    passes almost every cell is a lookup.  The passes succeed or fail exactly
-    as independent certify_lower_bound calls would, so c and the certificate
-    are the same.
+    c is capped at B(eps/2) - 10 slack, since the valence arithmetic needs
+    B(eps/2) > c.  Any certified c is below phi_lo - slack <= Phi on every
+    cell, so below min(U, cap).  The search stops when the weakest
+    phi_lo - slack exceeds min(U, cap) - c_tol, or, with no failure, when that
+    cell reaches max_depth or floating-point resolution.  c is then the cap
+    or the float below the weakest phi_lo - slack, so that
+    certify_lower_bound(params, c) succeeds.  The pair returned carries
+    gap = min(U, cap) - c, at most c_tol unless the search stopped early.
+    c_tol must be positive and finite.  CertificationError is raised unless
+    c > 0: when the cap is not, when the weakest cell is not good, or when
+    c_tol is so large that the first good tiling gives c <= 0.
     """
     _check_positive(c_tol=c_tol, slack=slack)
     _check_max_depth(max_depth)
@@ -496,30 +505,13 @@ def largest_certifiable_c(
     if not cap > 0.0:
         raise CertificationError(f"no positive lower bound certifiable {where}: the cap "
                                  f"B(eps/2) - 10 slack = {cap!r} is not positive")
-    memo: dict[tuple[float, float], SubintervalCertificate] = {}
-    result = _refine(params, cap, max_depth, slack, memo)
-    if result.success:
-        assert result.certificate is not None
-        return cap, result.certificate
-    lo_c = 0.0
-    best = _refine(params, lo_c, max_depth, slack, memo)
-    if not best.success:
-        raise CertificationError(f"no positive lower bound certifiable {where}: " + best.message)
-    hi_c = cap
-    while hi_c - lo_c > c_tol:
-        mid = 0.5 * (lo_c + hi_c)
-        if not lo_c < mid < hi_c:
-            break  # c_tol is below the spacing of floats near c
-        result = _refine(params, mid, max_depth, slack, memo)
-        if result.success:
-            lo_c, best = mid, result
-        else:
-            hi_c = mid
-    if not lo_c > 0.0:
-        raise CertificationError(f"no positive lower bound certified {where}: the bisection "
-                                 f"under the cap {cap!r} ended at c = 0 with c_tol={c_tol!r}")
-    assert best.certificate is not None
-    return lo_c, best.certificate
+    heap, message, upper = _search(params, cap, max_depth, slack, c_tol)
+    weakest = heap[0][0] - slack
+    c = cap if weakest > cap else math.nextafter(weakest, -math.inf)
+    if not c > 0.0:
+        raise CertificationError(f"no positive lower bound certifiable {where}: " + (
+            message or f"c = {c!r}, c_tol={c_tol!r} below min(U, cap) = {min(upper, cap)!r}"))
+    return _Found(c, _leaves(params, heap, slack), min(upper, cap) - c)
 
 
 @dataclass(frozen=True)
@@ -527,6 +519,7 @@ class RadiusGridEntry:
     R: float
     certified_c: float
     valence_bound: int
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -571,13 +564,14 @@ def optimize_radius(
     for R in grid:
         params = CertifyParams(epsilon, R)  # validates the (2 eps, 5 eps / 2) window
         try:
-            c, _ = largest_certifiable_c(params, c_tol=c_tol, max_depth=max_depth, slack=slack)
+            found = largest_certifiable_c(params, c_tol=c_tol, max_depth=max_depth, slack=slack)
         except CertificationError as exc:
             warnings.warn(f"skipping R={R}: {exc}", stacklevel=2)
             skipped.append((R, str(exc)))
             continue
+        c = found[0]
         valence = math.floor((ball_volume(R) - b_half) / c)
-        entries.append(RadiusGridEntry(R=R, certified_c=c, valence_bound=valence))
+        entries.append(RadiusGridEntry(R=R, certified_c=c, valence_bound=valence, gap=found.gap))
     if not entries:
         raise CertificationError("certification failed at every grid point")
     best = min(entries, key=lambda e: (e.valence_bound, e.R))

@@ -269,7 +269,7 @@ def _certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float,
               help="Either a point count (radii evenly spaced in (2eps, 5eps/2)) or a comma list of radii.")
 @click.option("--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, show_default=True)
 @click.option("--c-tol", type=float, default=1e-5, show_default=True,
-              help="Absolute tolerance of the bisection on c.")
+              help="Absolute tolerance on c: the search stops within it of the least Phi it sampled.")
 @click.pass_obj
 def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: float) -> None:
     """Scan radii for the largest certifiable c and the minimal valence bound."""
@@ -303,7 +303,7 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
         _emit(cfg, "\n".join(lines) + "\n")
         return
     if cfg.format == "json":
-        entry = lambda e: {"R": e.R, "certifiedC": e.certified_c, "valenceBound": e.valence_bound}
+        entry = lambda e: {"R": e.R, "certifiedC": e.certified_c, "valenceBound": e.valence_bound, "gap": e.gap}
         _emit(cfg, _json({
             "epsilon": scan.epsilon,
             "bHalfEps": scan.b_half_eps,

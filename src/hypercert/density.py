@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .hypgeo import DomainError, _check_positive, acosh_clamped, ball_volume
+from .hypgeo import DomainError, _check_radius, acosh_clamped, ball_volume
 
 __all__ = [
     "QuadratureError",
@@ -85,7 +85,7 @@ def dihedral_beta(r: float) -> float:
 
     Decreases from arcsec(3) at r -> 0 toward arcsec(2) = pi/3 as r -> inf.
     """
-    _check_positive(r=r)
+    _check_radius(r=r)
     return _arcsec(1.0 / math.cosh(2.0 * r) + 2.0)
 
 
@@ -215,5 +215,5 @@ def circumradius_h3(r: float) -> float:
     Closed form arccosh( sqrt(1 + 3 cosh 2r) / 2 ); always <= 2r, with the
     Euclidean limit h3(r)/r -> sqrt(3/2) as r -> 0.
     """
-    _check_positive(r=r)
+    _check_radius(r=r)
     return acosh_clamped(math.sqrt(1.0 + 3.0 * math.cosh(2.0 * r)) / 2.0)

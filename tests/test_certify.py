@@ -14,6 +14,7 @@ from helpers import h_at, phi_at, psi_at, sigma_at, wcone_at, wlens_at
 from hypercert import (
     CertificationError,
     CertifyParams,
+    DEFAULT_SLACK,
     DomainError,
     REFERENCE_EPSILON,
     REFERENCE_RADIUS,
@@ -348,14 +349,14 @@ class TestAdaptiveCertifier:
 
     def test_largest_certifiable_c_golden(self, ref_params):
         c, cert = largest_certifiable_c(ref_params)
-        assert c == 0.4964068684834093
-        assert cert.cell_count == 96
+        assert c == 0.4963977837352363
+        assert cert.cell_count == 78
 
     def test_largest_certifiable_c_certificate_bits(self, ref_params):
-        # pins all 13 fields of the 96 cells
+        # pins all 13 fields of the 78 cells
         _, cert = largest_certifiable_c(ref_params)
         assert _cells_digest(cert) == (
-            "dfbf79958d81975cb7c8590a0e153b60abd034a2eb8ac92009fc46dc94d0b692"
+            "84fa9c89a44e365cee2611ab02d897b4db97262b6df8aa9e24e39bcddcda7eca"
         )
 
 
@@ -404,7 +405,25 @@ class TestSearchCost:
     def test_largest_certifiable_c_evaluates_each_cell_once(self, ref_params, evaluations):
         largest_certifiable_c(ref_params)
         assert max(evaluations.values()) == 1
-        assert sum(evaluations.values()) <= 300
+        assert sum(evaluations.values()) <= 200
+
+    def test_radius_scan_cost(self, evaluations):
+        # the log 3 nine-radius scan of the README: 1 151 evaluations, 1 707 by bisection over c
+        optimize_radius(REFERENCE_EPSILON, radius_grid(REFERENCE_EPSILON, 9))
+        assert sum(evaluations.values()) <= 1200
+
+    def test_small_epsilon_finds_a_positive_c(self, evaluations):
+        # the bisection over c found none: c_tol = 1e-5 exceeds the cap 5.1e-7
+        c, _ = largest_certifiable_c(CertifyParams(0.01, 0.0225))
+        assert c > 0.0
+        assert sum(evaluations.values()) <= 20_000
+
+    def test_small_epsilon_unreachable_target_fails_fast(self, evaluations):
+        # Phi(eps) = 4.796e-7 is below the target; a depth-first search took 554 745 evaluations
+        result = certify_lower_bound(CertifyParams(0.01, 0.0225), 5.136e-7)
+        assert not result.success and "depth" in result.message
+        assert result.witness.d_hi == 0.01
+        assert sum(evaluations.values()) <= 12_000
 
     def test_fixed_target_evaluates_the_tree_once(self, ref_params, evaluations):
         result = certify_lower_bound(ref_params, 0.496)
@@ -418,6 +437,46 @@ class TestSearchCost:
         assert not result.success
         assert "depth" in result.message
         assert result.witness.d_hi == math.log(3.0)
+
+
+# log 3 and one eps from each tenth of [0.9, 1.2], nine radii each, as in the radius-scan benchmark
+_SCAN_PARAMS = [CertifyParams(eps, R)
+                for eps in [REFERENCE_EPSILON] + [0.9 + 0.03 * (k + 0.5) for k in range(10)]
+                for R in radius_grid(eps, 9)]
+
+
+class TestBestFirstSearch:
+    @pytest.mark.parametrize("params", _SCAN_PARAMS, ids=lambda p: f"{p.epsilon:.4f}-{p.R:.4f}")
+    def test_largest_c_is_certified_and_within_c_tol(self, params):
+        found = largest_certifiable_c(params)
+        c, cert = found
+        assert 0.0 < c < cert.certified_c - DEFAULT_SLACK
+        assert certify_lower_bound(params, c).success
+        # no search here stops at max depth, so the gap meets c_tol (up to the rounding of c)
+        assert 0.0 <= found.gap <= 1e-5 + math.ulp(c)
+        for cell in cert.cells:
+            for d in (cell.d_lo, 0.5 * (cell.d_lo + cell.d_hi), cell.d_hi):
+                assert c <= phi_at(params, d)
+
+    def test_gap_bounds_the_best_c(self, ref_params):
+        # c + gap = min(U, cap): no c_tol certifies past it
+        found = largest_certifiable_c(ref_params)
+        best = found[0] + found.gap
+        assert not certify_lower_bound(ref_params, best).success
+        tight = largest_certifiable_c(ref_params, c_tol=1e-8)
+        assert found[0] < tight[0] < best
+        assert tight.gap <= 1e-8 + math.ulp(tight[0])
+
+    def test_depth_stop_is_not_a_failure(self, ref_params):
+        # below the slack no c meets c_tol; the search stops at max depth with a larger gap
+        found = largest_certifiable_c(ref_params, c_tol=1e-12, max_depth=12)
+        assert found[0] > 0.49 and found.gap > 1e-12
+        assert certify_lower_bound(ref_params, found[0], max_depth=12).success
+
+    def test_cap_is_returned_exactly(self):
+        eps = REFERENCE_EPSILON
+        c, _ = largest_certifiable_c(CertifyParams(eps, radius_grid(eps, 9)[-1]))
+        assert c == ball_volume(eps / 2) - 10 * DEFAULT_SLACK
 
 
 class TestOptimizeRadius:
@@ -446,13 +505,13 @@ class TestOptimizeRadius:
         eps = REFERENCE_EPSILON
         scan = optimize_radius(eps, radius_grid(eps, 9))
         assert [(e.R, e.certified_c, e.valence_bound) for e in scan.entries] == [
-            (2.252155191769625, 0.39549510911096597, 320),
-            (2.3070858062030304, 0.45322808980339024, 315),
-            (2.362016420636436, 0.5124069266679012, 314),
-            (2.4169470350698417, 0.5715632599344027, 317),
-            (2.471877649503247, 0.6289418089581833, 324),
-            (2.5268082639366525, 0.6824778686219048, 335),
-            (2.581738878370058, 0.7297241726420741, 352),
+            (2.252155191769625, 0.39548623031489244, 320),
+            (2.3070858062030304, 0.45321932662215403, 315),
+            (2.362016420636436, 0.5123975331418924, 314),
+            (2.4169470350698417, 0.5715544494841776, 317),
+            (2.471877649503247, 0.6289359681378355, 324),
+            (2.5268082639366525, 0.6824679020283327, 335),
+            (2.581738878370058, 0.7297206857863081, 352),
             (2.6366694928034633, 0.7373978995631877, 391),
             (2.691600107236869, 0.7373978995631877, 439),
         ]

@@ -132,6 +132,18 @@ class TestOptimize:
         assert lines[0] == "R,certifiedC,valenceBound"
         assert len(lines) == 2
 
+    def test_json_reports_the_gap(self, runner):
+        result = invoke(runner, "--format", "json", "optimize", "--epsilon", "log3", "--grid", "3")
+        obj = json.loads(result.output)
+        assert all(0.0 <= e["gap"] <= 1e-5 for e in obj["entries"])
+        assert obj["best"] == min(obj["entries"], key=lambda e: e["valenceBound"])
+
+    def test_small_epsilon_certifies_a_positive_c(self, runner):
+        # exited 1: the cap on c lies below c_tol, and the bisection over c ended at c = 0
+        result = invoke(runner, "--format", "json", "optimize", "--epsilon", "0.01", "--grid", "1")
+        assert result.exit_code == 0
+        assert json.loads(result.output)["best"]["certifiedC"] > 0.0
+
     def test_c_tol_below_float_spacing(self, runner):
         # used to bisect forever
         assert invoke(runner, "optimize", "--epsilon", "log3", "--grid", "1",

@@ -99,6 +99,13 @@ class TestDihedralBeta:
         with pytest.raises(DomainError):
             dihedral_beta(0.0)
 
+    @pytest.mark.parametrize("r", [400.0, 1e308])
+    @pytest.mark.parametrize("fn", [dihedral_beta, packing_density, circumradius_h3])
+    def test_rejects_radius_where_cosh_2r_overflows(self, fn, r):
+        # each checked r > 0 only, then raised OverflowError from cosh 2r
+        with pytest.raises(DomainError, match="at most"):
+            fn(r)
+
 
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [16, 32])
