@@ -26,7 +26,6 @@ _MCORACLE_NAMES = (
     "minkowski_dot",
     "assert_on_sheet",
     "hdist",
-    "hpoint",
     "axis_point",
     "translate_to",
     "sample_ball",

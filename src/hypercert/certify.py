@@ -35,7 +35,8 @@ from a file; every other stored field must equal what phi_lower gives.
 There is one partition search, a best-first branch and bound: it keeps the
 current tiling of I in a heap, always splits the weakest cell, and evaluates
 each cell once.  certify_lower_bound runs it to a fixed target and
-largest_certifiable_c to within c_tol of U, the least Phi it has sampled.
+largest_certifiable_c to within c_tol of U - slack, with U the least Phi it
+has sampled.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -393,7 +393,7 @@ def _search(
     Without c_tol the target is target_c.  When Phi(eps) - slack does not
     exceed it, no tiling can meet it, and the cells that end at eps count as
     weakest: the search dives there and fails in ~2 max_depth evaluations.
-    With c_tol, target_c is the cap and the target is min(U, cap) - c_tol.
+    With c_tol, target_c is the cap and the target is min(U - slack, cap) - c_tol.
 
     Returns the heap, the message ("" when the target was met) and U.
     """
@@ -401,7 +401,7 @@ def _search(
     upper = _phi_point(params, hi, slack)
     cap = target_c
     if c_tol is not None:
-        target_c = min(upper, cap) - c_tol
+        target_c = min(upper - slack, cap) - c_tol
     hopeless = c_tol is None and upper - slack <= target_c
 
     def entry(cell: SubintervalCertificate, depth: int) -> tuple:
@@ -425,7 +425,7 @@ def _search(
         heapq.heappush(heap, entry(phi_lower(params, mid, d_hi, slack), depth + 1))
         if c_tol is not None:
             upper = min(upper, _phi_point(params, mid, slack))
-            target_c = min(upper, cap) - c_tol
+            target_c = min(upper - slack, cap) - c_tol
 
 
 def _phi_point(params: CertifyParams, d: float, slack: float) -> float:
@@ -467,7 +467,7 @@ def certify_lower_bound(
 
 
 class _Found(tuple):
-    """largest_certifiable_c's (c, certificate) pair, with the gap min(U, cap) - c as .gap."""
+    """largest_certifiable_c's (c, certificate) pair, with the gap min(U - slack, cap) - c as .gap."""
 
     gap: float
 
@@ -487,13 +487,13 @@ def largest_certifiable_c(
     """The largest c, to within c_tol of the best this cell core can certify.
 
     c is capped at B(eps/2) - 10 slack, since the valence arithmetic needs
-    B(eps/2) > c.  Any certified c is below phi_lo - slack <= Phi on every
-    cell, so below min(U, cap).  The search stops when the weakest
-    phi_lo - slack exceeds min(U, cap) - c_tol, or, with no failure, when that
-    cell reaches max_depth or floating-point resolution.  c is then the cap
-    or the float below the weakest phi_lo - slack, so that
+    B(eps/2) > c.  Any certified c is below phi_lo - slack <= Phi - slack on
+    every cell, so below min(U - slack, cap).  The search stops when the
+    weakest phi_lo - slack exceeds min(U - slack, cap) - c_tol, or, with no
+    failure, when that cell reaches max_depth or floating-point resolution.
+    c is then the cap or the float below the weakest phi_lo - slack, so that
     certify_lower_bound(params, c) succeeds.  The pair returned carries
-    gap = min(U, cap) - c, at most c_tol unless the search stopped early.
+    gap = min(U - slack, cap) - c, at most c_tol unless the search stopped early.
     c_tol must be positive and finite.  CertificationError is raised unless
     c > 0: when the cap is not, when the weakest cell is not good, or when
     c_tol is so large that the first good tiling gives c <= 0.
@@ -508,10 +508,11 @@ def largest_certifiable_c(
     heap, message, upper = _search(params, cap, max_depth, slack, c_tol)
     weakest = heap[0][0] - slack
     c = cap if weakest > cap else math.nextafter(weakest, -math.inf)
+    best = min(upper - slack, cap)
     if not c > 0.0:
         raise CertificationError(f"no positive lower bound certifiable {where}: " + (
-            message or f"c = {c!r}, c_tol={c_tol!r} below min(U, cap) = {min(upper, cap)!r}"))
-    return _Found(c, _leaves(params, heap, slack), min(upper, cap) - c)
+            message or f"c = {c!r}, c_tol={c_tol!r} below min(U - slack, cap) = {best!r}"))
+    return _Found(c, _leaves(params, heap, slack), best - c)
 
 
 @dataclass(frozen=True)
@@ -553,7 +554,8 @@ def optimize_radius(
 
     The valence bound at radius R is floor((B(R) - b(eps/2)) / c) with c the
     largest certified constant there.  Grid points where certification fails
-    are skipped with a warning.  Ties break toward smaller R.
+    are skipped, and each is recorded in skipped with its reason; when every
+    one fails, the CertificationError names each.  Ties break toward smaller R.
     """
     _check_positive(epsilon=epsilon, slack=slack)
     if not grid:
@@ -566,14 +568,14 @@ def optimize_radius(
         try:
             found = largest_certifiable_c(params, c_tol=c_tol, max_depth=max_depth, slack=slack)
         except CertificationError as exc:
-            warnings.warn(f"skipping R={R}: {exc}", stacklevel=2)
             skipped.append((R, str(exc)))
             continue
         c = found[0]
         valence = math.floor((ball_volume(R) - b_half) / c)
         entries.append(RadiusGridEntry(R=R, certified_c=c, valence_bound=valence, gap=found.gap))
     if not entries:
-        raise CertificationError("certification failed at every grid point")
+        raise CertificationError("certification failed at every grid point: "
+                                 + "; ".join(f"R={R}: {reason}" for R, reason in skipped))
     best = min(entries, key=lambda e: (e.valence_bound, e.R))
     return RadiusScan(
         epsilon=epsilon,

@@ -6,9 +6,10 @@ round-trip form and a non-finite scalar as null; csv and human output give reals
 17 significant digits.  Either way parsing recovers the exact binary64 values.
 
 Exit codes: 0 success, 1 certification or cross-check failure, 2 invalid input.
-Each of the six global options can also be supplied through its environment
-variable (HYPERCERT_FORMAT, HYPERCERT_OUTPUT, HYPERCERT_QUAD_TOL, HYPERCERT_SLACK,
-HYPERCERT_SEED, HYPERCERT_SAMPLES); subcommand options take none.
+Each of the four global options can also be supplied through its environment
+variable (HYPERCERT_FORMAT, HYPERCERT_OUTPUT, HYPERCERT_QUAD_TOL, HYPERCERT_SLACK);
+subcommand options take none.  Messages about a run, such as a radius that
+optimize skipped or an mc-check with no hits, are plain lines on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +38,6 @@ class CliConfig:
     output: Optional[str]
     quad_tol: float
     slack: float
-    seed: int
-    samples: int
 
     @property
     def quad_cfg(self) -> density_mod.QuadratureConfig:
@@ -183,18 +181,12 @@ class _Group(click.Group):
               help="Absolute tolerance for the density quadrature.")
 @click.option("--slack", type=float, default=certify_mod.DEFAULT_SLACK, show_default=True,
               envvar="HYPERCERT_SLACK", help="Decision slack subtracted before goodness/target comparisons.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True, envvar="HYPERCERT_SEED",
-              help="Seed for Monte-Carlo sampling.")
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
-              envvar="HYPERCERT_SAMPLES", help="Sample count for Monte-Carlo estimates.")
 @click.pass_context
-def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float,
-         seed: int, samples: int) -> None:
+def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float) -> None:
     """Certified hyperbolic-volume lower bounds and the constants they imply."""
     if not all(math.isfinite(t) and t > 0 for t in (quad_tol, slack)):
         raise click.UsageError("tolerances must be positive and finite")
-    ctx.obj = CliConfig(format=fmt, output=output, quad_tol=quad_tol, slack=slack,
-                        seed=seed, samples=samples)
+    ctx.obj = CliConfig(format=fmt, output=output, quad_tol=quad_tol, slack=slack)
 
 
 @main.command()
@@ -283,20 +275,15 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
             radii = [_parse_radius(grid)]
     except ValueError as exc:
         raise click.UsageError(f"cannot parse grid {grid!r}: {exc}")
-    with warnings.catch_warnings(record=True) as skips:
-        # optimize_radius warns once per skipped radius; each becomes one plain line below
-        warnings.simplefilter("always")
-        try:
-            scan = certify_mod.optimize_radius(
-                eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
-            )
-        except certify_mod.CertificationError as exc:
-            scan, failure = None, exc
-    for w in skips:
-        click.echo(f"optimize: {w.message}", err=True)
-    if scan is None:
-        click.echo(f"optimization failed: {failure}", err=True)
+    try:
+        scan = certify_mod.optimize_radius(
+            eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
+        )
+    except certify_mod.CertificationError as exc:
+        click.echo(f"optimization failed: {exc}", err=True)
         sys.exit(1)
+    for r, reason in scan.skipped:
+        click.echo(f"optimize: skipping R={r}: {reason}", err=True)
     if cfg.format == "csv":
         lines = ["R,certifiedC,valenceBound"]
         lines += [f"{_fmt(e.R)},{_fmt(e.certified_c)},{e.valence_bound}" for e in scan.entries]
@@ -446,18 +433,13 @@ def _mc_setup(shape: str, params: tuple[float, ...]):
 @click.option("--shape", type=click.Choice(sorted(_SHAPE_DEFAULTS)), required=True)
 @click.option("--params", default=None,
               help="Comma-separated shape parameters (defaults are shape-specific).")
-@click.option("--samples", "samples_override", type=int, default=None,
-              help="Override the global sample count.")
-@click.option("--seed", "seed_override", type=int, default=None,
-              help="Override the global seed.")
+@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
+              help="Sample count for the Monte-Carlo estimate.")
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+              help="Seed for Monte-Carlo sampling.")
 @click.pass_obj
-def mc_check(cfg: CliConfig, shape: str, params: Optional[str],
-             samples_override: Optional[int], seed_override: Optional[int]) -> None:
+def mc_check(cfg: CliConfig, shape: str, params: Optional[str], samples: int, seed: int) -> None:
     """Cross-check a closed-form volume against the Monte-Carlo estimator."""
-    if samples_override is not None:
-        cfg.samples = samples_override
-    if seed_override is not None:
-        cfg.seed = seed_override
     if params is None:
         values = _SHAPE_DEFAULTS[shape]
     else:
@@ -472,10 +454,7 @@ def mc_check(cfg: CliConfig, shape: str, params: Optional[str],
     from . import mcoracle
 
     predicate, center, radius, closed = _mc_setup(shape, values)
-    with warnings.catch_warnings():
-        # est.zero_hits carries this warning; it is reported below as one plain line
-        warnings.filterwarnings("ignore", message="estimate_volume: no hits")
-        est = mcoracle.estimate_volume(predicate, center, radius, cfg.samples, cfg.seed)
+    est = mcoracle.estimate_volume(predicate, center, radius, samples, seed)
     if est.zero_hits:
         click.echo("mc-check: no hits inside the envelope; the estimate is 0", err=True)
     deviation = abs(est.mean - closed) / est.standard_error if est.standard_error > 0 else (

@@ -32,7 +32,6 @@ __all__ = [
     "simplex_volume_tau",
     "packing_density",
     "b_ratio",
-    "circumradius_h3",
 ]
 
 # arcsec(3) = arccos(1/3), the dihedral angle of the ideal regular simplex
@@ -207,13 +206,3 @@ def packing_density(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> flo
 def b_ratio(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Effective volume per packing ball, B(r) / packing_density(r) > B(r)."""
     return ball_volume(r) / packing_density(r, cfg)
-
-
-def circumradius_h3(r: float) -> float:
-    """Barycenter-to-vertex distance of the regular 3-simplex with side 2r.
-
-    Closed form arccosh( sqrt(1 + 3 cosh 2r) / 2 ); always <= 2r, with the
-    Euclidean limit h3(r)/r -> sqrt(3/2) as r -> 0.
-    """
-    _check_radius(r=r)
-    return acosh_clamped(math.sqrt(1.0 + 3.0 * math.cosh(2.0 * r)) / 2.0)

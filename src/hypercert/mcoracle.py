@@ -15,7 +15,6 @@ thread count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "McEstimate",
     "minkowski_dot",
     "assert_on_sheet",
-    "hpoint",
     "axis_point",
     "hdist",
     "translate_to",
@@ -79,13 +77,6 @@ def assert_on_sheet(p: np.ndarray, tol: float = ON_SHEET_TOL) -> None:
     err = np.abs(minkowski_dot(p, p) - 1.0)
     if not (np.all(err <= tol * (x0 * x0)) and np.all(x0 >= 1.0 - tol)):
         raise DomainError(f"point off the hyperboloid sheet (max norm error {float(np.max(err)):.3e})")
-
-
-def hpoint(x1: float, x2: float, x3: float) -> np.ndarray:
-    """The sheet point with the given spatial coordinates."""
-    s = np.array([0.0, x1, x2, x3])
-    s[0] = math.sqrt(1.0 + x1 * x1 + x2 * x2 + x3 * x3)
-    return s
 
 
 def axis_point(t: float) -> np.ndarray:
@@ -229,7 +220,6 @@ def estimate_volume(predicate, center: np.ndarray, radius: float, count: int, se
     p_hat = hits / count
     se = total * math.sqrt(p_hat * (1.0 - p_hat) / count)
     if hits == 0:
-        warnings.warn("estimate_volume: no hits inside the envelope; estimate is 0", stacklevel=2)
         return McEstimate(0.0, 0.0, count, seed, zero_hits=True)
     return McEstimate(total * p_hat, se, count, seed)
 

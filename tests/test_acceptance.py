@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import h_at, phi_at, psi_at, sigma_at, wcone_at, wlens_at
+from helpers import circumradius_h3, h_at, phi_at, psi_at, sigma_at, wcone_at, wlens_at
 from hypercert import (
     REFERENCE_EPSILON,
     REFERENCE_RADIUS,
@@ -19,7 +19,6 @@ from hypercert import (
     ball_volume,
     cap_volume,
     certify_lower_bound,
-    circumradius_h3,
     cone_volume,
     eta,
     h_bounds,

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -459,7 +460,7 @@ class TestBestFirstSearch:
                 assert c <= phi_at(params, d)
 
     def test_gap_bounds_the_best_c(self, ref_params):
-        # c + gap = min(U, cap): no c_tol certifies past it
+        # c + gap = min(U - slack, cap): no c_tol certifies past it
         found = largest_certifiable_c(ref_params)
         best = found[0] + found.gap
         assert not certify_lower_bound(ref_params, best).success
@@ -468,10 +469,22 @@ class TestBestFirstSearch:
         assert tight.gap <= 1e-8 + math.ulp(tight[0])
 
     def test_depth_stop_is_not_a_failure(self, ref_params):
-        # below the slack no c meets c_tol; the search stops at max depth with a larger gap
+        # a c_tol of 1e-12 needs cells finer than max depth 12; the search stops there with a larger gap
         found = largest_certifiable_c(ref_params, c_tol=1e-12, max_depth=12)
         assert found[0] > 0.49 and found.gap > 1e-12
         assert certify_lower_bound(ref_params, found[0], max_depth=12).success
+
+    def test_c_tol_below_the_slack_is_met(self, ref_params):
+        # every certified c lies below U - slack, so the gap is measured from there and can meet it
+        found = largest_certifiable_c(ref_params, c_tol=1e-10)
+        assert 0.0 <= found.gap <= 1e-10
+        assert certify_lower_bound(ref_params, found[0]).success
+
+    @pytest.mark.parametrize("index", [19, 20])
+    def test_midpoint_samples_of_u_are_needed(self, index):
+        # at eps = 15 Phi is least inside I, so U from Phi(eps) alone left gaps of 224 and 751
+        found = largest_certifiable_c(CertifyParams(15.0, radius_grid(15.0, 21)[index]))
+        assert 0.0 <= found.gap <= 1e-5
 
     def test_cap_is_returned_exactly(self):
         eps = REFERENCE_EPSILON
@@ -529,6 +542,21 @@ class TestOptimizeRadius:
             optimize_radius(1.0, [1.9])
         with pytest.raises(DomainError):
             optimize_radius(1.0, [])
+
+    def test_skipped_radii_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = optimize_radius(1.0, radius_grid(1.0, 9), max_depth=1)
+        assert [R for R, _ in scan.skipped] == radius_grid(1.0, 9)[:3]
+        assert all("max depth 1 exhausted" in reason for _, reason in scan.skipped)
+
+    def test_every_radius_failing_names_each(self):
+        grid = radius_grid(0.001, 3)
+        with pytest.raises(CertificationError) as info:
+            optimize_radius(0.001, grid)
+        message = str(info.value)
+        assert message.startswith("certification failed at every grid point: ")
+        assert all(f"R={R}: no positive lower bound" in message for R in grid)
 
     @pytest.mark.parametrize("c_tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_c_tol(self, c_tol):

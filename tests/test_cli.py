@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from hypercert import QuadratureError, ball_volume
-from hypercert.cli import main
+from hypercert.cli import DEFAULT_SAMPLES, DEFAULT_SEED, main
 
 LOG3 = math.log(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -161,6 +161,13 @@ class TestOptimize:
         assert "no positive lower bound" in result.output
         assert "optimization failed: certification failed at every grid point" in result.output
 
+    def test_every_radius_failing_is_one_stderr_line(self, runner):
+        result = runner.invoke(main, ["optimize", "--epsilon", "0.001", "--grid", "3"])
+        assert result.exit_code == 1 and result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("optimization failed: certification failed at every grid point: R=")
+        assert line.count("no positive lower bound") == 3
+
     SKIPPING = ("optimize", "--epsilon", "1.0", "--grid", "9", "--max-depth", "1")
 
     def test_skipped_radii_json(self, runner):
@@ -243,6 +250,8 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
                  id="optimize-c-tol-nan"),
     pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
     pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
+    pytest.param(("mc-check", "--shape", "ball", "--samples", "10", "--seed", "-1"),
+                 id="mc-check-seed-negative"),
     pytest.param(("mc-check", "--shape", "ball", "--params", "400"), id="mc-check-ball-overflow"),
     pytest.param(("mc-check", "--shape", "icecream", "--params", "1,800"),
                  id="mc-check-icecream-far"),
@@ -262,16 +271,16 @@ def test_invalid_input_exits_two(runner, args):
 
 class TestMcCheck:
     def test_icecream_defaults_small_sample(self, runner):
-        result = invoke(runner, "--format", "json", "--samples", "40000", "--seed", "7",
-                        "mc-check", "--shape", "icecream")
+        result = invoke(runner, "--format", "json", "mc-check", "--shape", "icecream",
+                        "--samples", "40000", "--seed", "7")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["within3Sigma"] is True
         assert obj["samples"] == 40000 and obj["seed"] == 7
 
     def test_cap_with_params(self, runner):
-        result = invoke(runner, "--format", "json", "--samples", "40000", "--seed", "3",
-                        "mc-check", "--shape", "cap", "--params", "1.0,0.5")
+        result = invoke(runner, "--format", "json", "mc-check", "--shape", "cap",
+                        "--params", "1.0,0.5", "--samples", "40000", "--seed", "3")
         obj = json.loads(result.output)
         assert obj["closedForm"] == pytest.approx(0.6694232433005802, abs=1e-12)
         assert obj["within3Sigma"] is True
@@ -279,8 +288,8 @@ class TestMcCheck:
     @pytest.mark.parametrize("samples", ["1", "2"])
     def test_zero_standard_error_json_is_valid(self, runner, samples):
         # with no hit the standard error is 0 and the deviation infinite
-        result = runner.invoke(main, ["--format", "json", "--samples", samples,
-                                      "mc-check", "--shape", "cap"])
+        result = runner.invoke(main, ["--format", "json", "mc-check", "--shape", "cap",
+                                      "--samples", samples])
         assert result.exit_code == 1
 
         def reject(token):
@@ -290,11 +299,11 @@ class TestMcCheck:
         assert obj["standardError"] == 0.0
         assert obj["deviationSigmas"] is None
         assert obj["within3Sigma"] is False
-        human = runner.invoke(main, ["--samples", samples, "mc-check", "--shape", "cap"])
+        human = runner.invoke(main, ["mc-check", "--shape", "cap", "--samples", samples])
         assert "deviationSigmas  inf" in human.stdout
 
     def test_zero_hits_is_one_plain_stderr_line(self, runner):
-        args = ["--samples", "1", "mc-check", "--shape", "cap"]
+        args = ["mc-check", "--shape", "cap", "--samples", "1"]
         proc = run_python("-m", "hypercert.cli", *args)
         assert proc.returncode == 1
         assert "no hits" in proc.stderr
@@ -303,24 +312,24 @@ class TestMcCheck:
         assert proc.stdout == runner.invoke(main, args).stdout
 
     def test_ball_is_exact(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", "--samples", "1000",
-                                "mc-check", "--shape", "ball", "--params", "0.8").output)
+        obj = json.loads(invoke(runner, "--format", "json", "mc-check", "--shape", "ball",
+                                "--params", "0.8", "--samples", "1000").output)
         assert obj["deviationSigmas"] == 0.0
         assert obj["standardError"] == 0.0 and isinstance(obj["standardError"], float)
 
     @pytest.mark.parametrize("radius", ["8", "20"])
     def test_ball_far_from_basepoint(self, runner, radius):
         # an absolute on-sheet tolerance rejected the sampler's own points, with exit 2
-        result = invoke(runner, "--format", "json", "--samples", "20000",
-                        "mc-check", "--shape", "ball", "--params", radius)
+        result = invoke(runner, "--format", "json", "mc-check", "--shape", "ball",
+                        "--params", radius, "--samples", "20000")
         assert result.exit_code == 0
         assert json.loads(result.output)["within3Sigma"] is True
 
     @pytest.mark.parametrize("w", ["800", "-800"])
     def test_cap_with_far_plane(self, runner, w):
         # the cap's axis point only sets a direction, so a far plane is not an overflow
-        result = invoke(runner, "--format", "json", "--samples", "20000",
-                        "mc-check", "--shape", "cap", "--params", f"1,{w}")
+        result = invoke(runner, "--format", "json", "mc-check", "--shape", "cap",
+                        "--params", f"1,{w}", "--samples", "20000")
         assert result.exit_code == 0, result.output
         obj = json.loads(result.stdout)
         assert obj["closedForm"] == (0.0 if w == "800" else ball_volume(1.0))
@@ -333,16 +342,23 @@ class TestMcCheck:
         assert result.exit_code == 2
 
     def test_determinism(self, runner):
-        args = ["--format", "json", "--samples", "20000", "--seed", "5",
-                "mc-check", "--shape", "cone"]
+        args = ["--format", "json", "mc-check", "--shape", "cone", "--samples", "20000", "--seed", "5"]
         assert invoke(runner, *args).output == invoke(runner, *args).output
 
-    def test_local_sample_and_seed_flags(self, runner):
-        via_group = invoke(runner, "--format", "json", "--samples", "20000", "--seed", "5",
-                           "mc-check", "--shape", "cone").output
-        via_local = invoke(runner, "--format", "json", "mc-check", "--shape", "cone",
-                           "--samples", "20000", "--seed", "5").output
-        assert via_group == via_local
+    @pytest.mark.parametrize("option", ["--seed", "--samples"])
+    def test_no_global_sample_or_seed_option(self, runner, option):
+        # mc-check's own --samples and --seed are the one way to set them
+        result = runner.invoke(main, [option, "5", "mc-check", "--shape", "ball"])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
+    def test_sample_and_seed_take_no_environment_variable(self, runner):
+        args = ["--format", "json", "mc-check", "--shape", "ball"]
+        plain = invoke(runner, *args)
+        result = invoke(runner, *args, env={"HYPERCERT_SEED": "1", "HYPERCERT_SAMPLES": "1"})
+        assert (result.exit_code, result.output) == (0, plain.output)
+        obj = json.loads(plain.output)
+        assert (obj["samples"], obj["seed"]) == (DEFAULT_SAMPLES, DEFAULT_SEED)
 
 
 class TestQuadratureFailure:
@@ -383,8 +399,6 @@ class TestEnvironmentOverrides:
     @pytest.mark.parametrize("var, value, args, key", [
         ("HYPERCERT_QUAD_TOL", "1e-9", ["constants"], "quadratureTolerance"),
         ("HYPERCERT_SLACK", "1e-8", ["verify"], "slack"),
-        ("HYPERCERT_SEED", "5", ["--samples", "1000", "mc-check", "--shape", "ball"], "seed"),
-        ("HYPERCERT_SAMPLES", "1000", ["mc-check", "--shape", "ball"], "samples"),
     ])
     def test_option_from_env(self, runner, var, value, args, key):
         result = runner.invoke(main, ["--format", "json", *args], env={var: value},
@@ -396,7 +410,7 @@ class TestEnvironmentOverrides:
                        for name, command in main.commands.items() for param in command.params]
 
     @pytest.mark.parametrize("args", [
-        ["--samples", "2000", "mc-check", "--shape", "phi"],
+        ["mc-check", "--shape", "phi", "--samples", "2000"],
         ["optimize", "--epsilon", "1.0", "--grid", "3"],
         ["bound", "--volume", "2.0"],
     ])

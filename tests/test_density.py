@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hypercert.density as density_mod
+from helpers import circumradius_h3
 from hypercert.cli import main
 from hypercert import (
     DomainError,
@@ -16,7 +17,6 @@ from hypercert import (
     QuadratureError,
     b_ratio,
     ball_volume,
-    circumradius_h3,
     dihedral_beta,
     packing_density,
     simplex_volume_tau,

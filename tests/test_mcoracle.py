@@ -15,7 +15,6 @@ from hypercert import (
     cap_volume,
     estimate_volume,
     hdist,
-    hpoint,
     in_ball,
     in_cap,
     in_cone,
@@ -31,6 +30,13 @@ from hypercert import (
 )
 from hypercert.hypgeo import MAX_RADIUS
 from hypercert.mcoracle import _radial_inverse
+
+
+def hpoint(x1: float, x2: float, x3: float) -> np.ndarray:
+    """The sheet point with the given spatial coordinates."""
+    s = np.array([0.0, x1, x2, x3])
+    s[0] = math.sqrt(1.0 + x1 * x1 + x2 * x2 + x3 * x3)
+    return s
 
 
 class TestDistance:
@@ -233,11 +239,11 @@ class TestEstimator:
         assert not est.zero_hits
 
     def test_zero_hits_flagged(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        # the flag is the one record of zero hits: no warning is raised as well
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             est = estimate_volume(lambda p: np.zeros(len(p), dtype=bool), BASEPOINT, 0.9, 1000, seed=6)
         assert est.mean == 0.0 and est.zero_hits
-        assert any("no hits" in str(w.message) for w in caught)
 
     def test_cap_against_closed_form(self):
         r, w, n = 1.0, 0.5, 200_000
