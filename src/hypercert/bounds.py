@@ -12,7 +12,6 @@ thresholds.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +23,7 @@ from .certify import (
     REFERENCE_TARGET_C,
     DEFAULT_SLACK,
     _certificate_obj,
+    _valence,
 )
 from .density import DEFAULT_QUADRATURE, QuadratureConfig, b_ratio
 from .hypgeo import _check_positive, ball_volume
@@ -92,21 +92,6 @@ class HomologyBoundQuery:
         _check_positive(volume=self.volume)
 
 
-def _valence_bound(
-    R: float,
-    c: float,
-    b_half: float,
-    slack: float,
-) -> int:
-    """floor((B(R) - b(eps/2)) / c), with the non-integrality of the quotient checked."""
-    quotient = (ball_volume(R) - b_half) / c
-    if abs(quotient - round(quotient)) <= 10.0 * slack:
-        raise CertificationError(
-            f"condition (c) violated: quotient {quotient!r} is too close to an integer"
-        )
-    return math.floor(quotient)
-
-
 def rank_bound(
     epsilon: float,
     R: float,
@@ -159,7 +144,7 @@ def rank_bound_report(
         raise CertificationError(
             f"condition (b) violated: B(eps/2)={ball_volume(0.5 * epsilon)} does not exceed c={c}"
         )
-    valence = _valence_bound(R, c, b_half, slack)
+    _, valence = _valence(R, c, b_half, slack)
     return RankBoundReport(
         epsilon=epsilon,
         R=R,
@@ -185,7 +170,7 @@ def report_to_json(report: RankBoundReport, certificate: Optional[PartitionCerti
 def reference_valence_bound(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> int:
     """The valence bound at the reference parameters (eps = log 3, R = 2 log 3 + 0.15, c = 0.496)."""
     b_half = b_ratio(0.5 * REFERENCE_EPSILON, quad_cfg)
-    return _valence_bound(REFERENCE_RADIUS, REFERENCE_TARGET_C, b_half, DEFAULT_SLACK)
+    return _valence(REFERENCE_RADIUS, REFERENCE_TARGET_C, b_half, DEFAULT_SLACK)[1]
 
 
 def lambda0(quad_cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

@@ -541,6 +541,17 @@ def radius_grid(epsilon: float, count: int) -> list[float]:
     return [2.0 * epsilon + k * step for k in range(1, count + 1)]
 
 
+def _valence(R: float, c: float, b_half: float, slack: float) -> tuple[float, int]:
+    """(B(R) - b(eps/2)) / c and its floor, the valence bound; CertificationError when the
+    quotient is within 10 slack of an integer (condition (c)), where the floor could be off."""
+    quotient = (ball_volume(R) - b_half) / c
+    if abs(quotient - round(quotient)) <= 10.0 * slack:
+        raise CertificationError(
+            f"condition (c) violated: quotient {quotient!r} is too close to an integer"
+        )
+    return quotient, math.floor(quotient)
+
+
 def optimize_radius(
     epsilon: float,
     grid: Sequence[float],
@@ -553,7 +564,8 @@ def optimize_radius(
     """Scan radii, certify the largest c at each, and pick the minimal valence bound.
 
     The valence bound at radius R is floor((B(R) - b(eps/2)) / c) with c the
-    largest certified constant there.  Grid points where certification fails
+    largest certified constant there.  Grid points where certification fails,
+    or where the quotient is within 10 slack of an integer (condition (c)),
     are skipped, and each is recorded in skipped with its reason; when every
     one fails, the CertificationError names each.  Ties break toward smaller R.
     """
@@ -567,12 +579,11 @@ def optimize_radius(
         params = CertifyParams(epsilon, R)  # validates the (2 eps, 5 eps / 2) window
         try:
             found = largest_certifiable_c(params, c_tol=c_tol, max_depth=max_depth, slack=slack)
+            _, valence = _valence(R, found[0], b_half, slack)
         except CertificationError as exc:
             skipped.append((R, str(exc)))
             continue
-        c = found[0]
-        valence = math.floor((ball_volume(R) - b_half) / c)
-        entries.append(RadiusGridEntry(R=R, certified_c=c, valence_bound=valence, gap=found.gap))
+        entries.append(RadiusGridEntry(R=R, certified_c=found[0], valence_bound=valence, gap=found.gap))
     if not entries:
         raise CertificationError("certification failed at every grid point: "
                                  + "; ".join(f"R={R}: {reason}" for R, reason in skipped))

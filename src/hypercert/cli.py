@@ -196,7 +196,8 @@ def constants(cfg: CliConfig) -> None:
     quad = cfg.quad_cfg
     half = 0.5 * certify_mod.REFERENCE_EPSILON
     b_half = density_mod.b_ratio(half, quad)
-    quotient = (hypgeo.ball_volume(certify_mod.REFERENCE_RADIUS) - b_half) / certify_mod.REFERENCE_TARGET_C
+    quotient, valence = certify_mod._valence(certify_mod.REFERENCE_RADIUS, certify_mod.REFERENCE_TARGET_C,
+                                             b_half, certify_mod.DEFAULT_SLACK)
     items: list[tuple[str, object]] = [
         ("BHalfEps", hypgeo.ball_volume(half)),
         ("bHalfEps", b_half),
@@ -206,7 +207,7 @@ def constants(cfg: CliConfig) -> None:
         ("lambda1Noncompact", bounds_mod.lambda1_noncompact(quad)),
         ("lambda1CompactP2", bounds_mod.lambda1_compact_p2(quad)),
         ("valenceQuotient", quotient),
-        ("valenceBound", bounds_mod.reference_valence_bound(quad)),
+        ("valenceBound", valence),
         ("quadratureTolerance", quad.abs_tol),
     ]
     _emit_scalars(cfg, items)
@@ -266,15 +267,15 @@ def _certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float,
 def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: float) -> None:
     """Scan radii for the largest certifiable c and the minimal valence bound."""
     eps = _parse_epsilon(epsilon)
-    try:
-        if "," in grid:
+    if "," in grid:
+        try:
             radii = [float(tok) for tok in grid.split(",") if tok.strip()]
-        elif grid.strip().isdigit():
-            radii = certify_mod.radius_grid(eps, int(grid))
-        else:
-            radii = [_parse_radius(grid)]
-    except ValueError as exc:
-        raise click.UsageError(f"cannot parse grid {grid!r}: {exc}")
+        except ValueError as exc:
+            raise click.UsageError(f"cannot parse grid {grid!r}: {exc}")
+    elif grid.strip().isdecimal():  # the digits int() reads
+        radii = certify_mod.radius_grid(eps, int(grid))
+    else:
+        radii = [_parse_radius(grid)]
     try:
         scan = certify_mod.optimize_radius(
             eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
@@ -408,15 +409,9 @@ def _mc_setup(shape: str, params: tuple[float, ...]):
         r, d = params
         if not 0.0 < r < d:
             raise hypgeo.DomainError(f"icecream needs 0 < r < d, got {params}")
+        closed = hypgeo.phi(d + r, r, d)  # clipped at d + r, the cone is whole
         scoop = mcoracle.axis_point(d)
-        om, th = hypgeo.omega(r, d), hypgeo.theta(r, d)
-        closed = hypgeo.ball_volume(r) + hypgeo.cone_volume(om, th) - hypgeo.cap_volume(
-            r, d - hypgeo.psi(om, th)
-        )
-        return (
-            lambda p: mcoracle.in_icecream(p, base, scoop, r),
-            base, d + r, closed,
-        )
+        return lambda p: mcoracle.in_icecream(p, base, scoop, r), base, d + r, closed
     if shape == "phi":
         rho, r, d = params
         if not (r < d < rho < d + r):

@@ -88,15 +88,12 @@ def dihedral_beta(r: float) -> float:
     return _arcsec(1.0 / math.cosh(2.0 * r) + 2.0)
 
 
-def _tau_integrand_substituted(t_upper: float) -> Callable[[float], float]:
-    # Integrand of tau after substituting t = t_upper - s^2.  The raw
-    # integrand arcsech(sec t - 2) vanishes like sqrt(t_upper - t) at the
+def _tau_integrand(s: float) -> float:
+    # Integrand of tau after substituting t = arcsec 3 - s^2.  The raw
+    # integrand arcsech(sec t - 2) vanishes like sqrt(arcsec 3 - t) at the
     # upper endpoint; the substitution makes it analytic in s.
-    def g(s: float) -> float:
-        t = t_upper - s * s
-        return _arcsech(1.0 / math.cos(t) - 2.0) * 2.0 * s
-
-    return g
+    t = _ARCSEC3 - s * s
+    return _arcsech(1.0 / math.cos(t) - 2.0) * 2.0 * s
 
 
 @functools.lru_cache(maxsize=None)
@@ -185,8 +182,7 @@ def simplex_volume_tau(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> 
     """
     b = dihedral_beta(r)
     s_max = math.sqrt(_ARCSEC3 - b)
-    return 3.0 * _adaptive_gauss_legendre(_tau_integrand_substituted(_ARCSEC3), 0.0, s_max,
-                                          cfg.abs_tol / 3.0)
+    return 3.0 * _adaptive_gauss_legendre(_tau_integrand, 0.0, s_max, cfg.abs_tol / 3.0)
 
 
 def packing_density(r: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:

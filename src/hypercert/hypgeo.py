@@ -126,22 +126,34 @@ def cap_volume(r: float, w: float) -> float:
     return _cap(r, w)
 
 
+def _heron(x: float, y: float, z: float) -> tuple[float, float]:
+    """eta(x, y, z) and the relative triangle defect (b + c - a) / 2a, a >= b >= c sorted.
+
+    Kahan's order, (a - b) first, gives each Heron factor one rounding error of its own size.
+    """
+    _check_radius(x=x, y=y, z=z)
+    a, b, c = sorted((x, y, z), reverse=True)
+    gap = 0.5 * (c - (a - b))
+    num = (4.0 * math.sinh(0.5 * (a + (b + c))) * math.sinh(gap)
+           * math.sinh(0.5 * (c + (a - b))) * math.sinh(0.5 * (a + (b - c))))
+    if not math.isfinite(num):
+        raise DomainError(f"eta({x}, {y}, {z}) overflows binary64")
+    sz = math.sinh(z)
+    return num / (sz * sz), gap / a
+
+
 def eta(x: float, y: float, z: float) -> float:
     """Altitude discriminant of a triple of side lengths.
 
     For a triangle with side lengths |P1 E| = x, |P2 E| = y, |P1 P2| = z the
     squared sinh of the altitude from E onto line P1 P2 equals eta(x, y, z);
     the triple is realizable iff eta >= 0.  Always eta(x,y,z) <= sinh^2(x).
-    Lengths run up to MAX_RADIUS; a triple whose numerator overflows binary64
-    raises DomainError.
+    The numerator 2 cosh x cosh y cosh z - cosh^2 x - cosh^2 y - cosh^2 z + 1
+    cancels, so it is evaluated in Heron form, 4 sinh s sinh(s-x) sinh(s-y)
+    sinh(s-z) with s = (x+y+z)/2, to a few ulps.  Lengths run up to MAX_RADIUS;
+    a triple whose numerator overflows binary64 raises DomainError.
     """
-    _check_radius(x=x, y=y, z=z)
-    cx, cy, cz = math.cosh(x), math.cosh(y), math.cosh(z)
-    num = 2.0 * cx * cy * cz - (cx * cx + cy * cy + cz * cz) + 1.0
-    if not math.isfinite(num):
-        raise DomainError(f"eta({x}, {y}, {z}) overflows binary64")
-    sz = math.sinh(z)
-    return num / (sz * sz)
+    return _heron(x, y, z)[0]
 
 
 def in_lens_domain(x: float, y: float, z: float) -> bool:
@@ -162,8 +174,9 @@ def sigma(x: float, y: float, z: float) -> float:
     """Distance from P1 to the foot of the altitude plane of the (x,y,z) triangle.
 
     Defined as arccosh(cosh x / sqrt(1 + eta(x,y,z))); requires eta >= 0,
-    where eta in [-ACOSH_SLOP, 0) counts as the roundoff of a tangent
-    configuration (see phi) and is taken as 0.  Evaluated through the identity
+    where a negative eta whose relative triangle defect is >= -ACOSH_SLOP
+    counts as the roundoff of a tangent configuration (see phi) and is taken
+    as 0.  Evaluated through the identity
     sinh^2(z) * (sinh^2(x) - eta) = (cosh x cosh z - cosh y)^2 as
 
         arcsinh( |cosh x cosh z - cosh y| / (sinh z * sqrt(1 + eta)) ),
@@ -171,8 +184,8 @@ def sigma(x: float, y: float, z: float) -> float:
     which is exact at the right-angle configurations where the arccosh form
     loses half its digits to the square-root singularity at 1.
     """
-    e = eta(x, y, z)
-    if e < -ACOSH_SLOP:
+    e, defect = _heron(x, y, z)
+    if defect < -ACOSH_SLOP:
         raise DomainError(f"sigma undefined: eta({x}, {y}, {z}) = {e} < 0")
     e = max(e, 0.0)
     num = abs(math.cosh(x) * math.cosh(z) - math.cosh(y))
@@ -260,20 +273,18 @@ def phi(rho: float, r: float, d: float) -> float:
 
     The formula is defined (and continuous) on the whole domain
     {eta(rho, r, d) >= 0 and r < d}.  At its edge rho = d + r the scoop
-    touches the clipping ball from inside, and eta is exactly 0, but its
-    binary64 value can come out near -1e-15.  Phi(D) = phi(R - D, eps/2, D)
-    meets this edge at the left end D = R/2 - eps/4 of its interval, for
-    many radii R.  So phi (through sigma) accepts eta >= -ACOSH_SLOP and
-    treats it as 0, the same roundoff allowance as acosh_clamped; anything
-    more negative still raises DomainError.  in_phi_domain stays exact.
+    touches the clipping ball from inside, eta is exactly 0, and
+    phi(d + r, r, d) is the volume of Z.  But rho = d + r rounded can miss
+    the edge by an ulp, and so can Phi(D) = phi(R - D, eps/2, D) at the left
+    end D = R/2 - eps/4 of its interval.  The eta of such a triple is
+    negative, and large once the lengths are: -0.04 at eps = 30.  So sigma
+    takes eta as 0 when the relative triangle defect (d + r - rho) / 2 rho
+    is >= -ACOSH_SLOP, the same roundoff allowance as acosh_clamped, and
+    raises DomainError for a triple further out.  in_phi_domain stays exact.
     """
     _check_radius(rho=rho, r=r, d=d)
     if r >= d:
         raise DomainError(f"phi requires r < d, got r={r}, d={d}")
-    if eta(rho, r, d) < -ACOSH_SLOP:
-        raise DomainError(
-            f"phi undefined: eta({rho}, {r}, {d}) < 0 (balls do not overlap properly)"
-        )
     om = omega(r, d)
     th = theta(r, d)
     return (

@@ -550,6 +550,17 @@ class TestOptimizeRadius:
         assert [R for R, _ in scan.skipped] == radius_grid(1.0, 9)[:3]
         assert all("max depth 1 exhausted" in reason for _, reason in scan.skipped)
 
+    def test_quotient_near_an_integer_is_skipped_with_condition_c(self):
+        # two adjacent floats whose quotients are 327.00000000000057 and 326.9999999999998
+        # printed valences 327 and 326; rank_bound refuses both
+        near = [2.214201133119196, 2.2142011331191966]
+        scan = optimize_radius(REFERENCE_EPSILON, near + [2.3])
+        assert [R for R, _ in scan.skipped] == near
+        assert all(reason.startswith("condition (c) violated") for _, reason in scan.skipped)
+        assert [e.R for e in scan.entries] == [2.3]
+        with pytest.raises(CertificationError, match="condition \\(c\\).*condition \\(c\\)"):
+            optimize_radius(REFERENCE_EPSILON, near)
+
     def test_every_radius_failing_names_each(self):
         grid = radius_grid(0.001, 3)
         with pytest.raises(CertificationError) as info:

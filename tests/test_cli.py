@@ -58,6 +58,12 @@ class TestConstants:
         assert lines[0] == "name,value"
         assert len(lines) == 11
 
+    def test_valence_ignores_the_slack_option(self, runner):
+        # the reference valence is checked at the default slack, as reference_valence_bound is;
+        # at 0.1 the condition (c) check would refuse it
+        obj = json.loads(invoke(runner, "--format", "json", "--slack", "0.1", "constants").output)
+        assert obj["valenceBound"] == 314 and 314.6 < obj["valenceQuotient"] < 314.7
+
     def test_determinism(self, runner):
         a = invoke(runner, "--format", "json", "constants").output
         b = invoke(runner, "--format", "json", "constants").output
@@ -143,6 +149,13 @@ class TestOptimize:
         result = invoke(runner, "--format", "json", "optimize", "--epsilon", "0.01", "--grid", "1")
         assert result.exit_code == 0
         assert json.loads(result.output)["best"]["certifiedC"] > 0.0
+
+    def test_bad_epsilon_is_blamed_on_epsilon(self, runner):
+        # said "cannot parse grid '3'", as radius_grid ran inside the grid parser's try
+        result = runner.invoke(main, ["optimize", "--epsilon", "nan", "--grid", "3"])
+        assert result.exit_code == 2
+        assert "Error: epsilon must be finite and positive" in result.output
+        assert "grid" not in result.output
 
     def test_c_tol_below_float_spacing(self, runner):
         # used to bisect forever
@@ -249,6 +262,7 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("optimize", "--epsilon", "log3", "--grid", "2.3", "--c-tol", "nan"),
                  id="optimize-c-tol-nan"),
     pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
+    pytest.param(("optimize", "--epsilon", "log3", "--grid", "0"), id="optimize-grid-0"),
     pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
     pytest.param(("mc-check", "--shape", "ball", "--samples", "10", "--seed", "-1"),
                  id="mc-check-seed-negative"),
@@ -256,9 +270,6 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("mc-check", "--shape", "icecream", "--params", "1,800"),
                  id="mc-check-icecream-far"),
     pytest.param(("mc-check", "--shape", "phi", "--params", "800.5,1,800"), id="mc-check-phi-far"),
-    pytest.param(("--samples", "0", "mc-check", "--shape", "ball"), id="global-samples-0"),
-    pytest.param(("--seed", "-1", "mc-check", "--shape", "ball", "--samples", "10"),
-                 id="global-seed-negative"),
     pytest.param(("--quad-tol", "nan", "constants"), id="quad-tol-nan"),
     pytest.param(("--slack", "nan", "verify"), id="slack-nan"),
     pytest.param(("--slack", "inf", "verify"), id="slack-inf"),

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -136,6 +137,24 @@ class TestEta:
     def test_membership_matches_sign_exactly(self, x, y, z):
         assert in_lens_domain(x, y, z) == (eta(x, y, z) >= 0.0)
 
+    def test_matches_mpmath_on_realizable_triples(self):
+        # x and z log-uniform on [1e-5, 30], y uniform between |x - z| and x + z.  The
+        # expanded numerator was off by a factor 234 here, and Heron's half-sums taken
+        # as (y + z - x) / 2 by 4.5e-9 where one short side meets two long ones.
+        rng = random.Random(24)
+        worst, count = 0.0, 0
+        while count < 3000:
+            x, z = (math.exp(rng.uniform(math.log(1e-5), math.log(30.0))) for _ in range(2))
+            y = abs(x - z) + rng.random() * (x + z - abs(x - z))
+            if not 1e-5 <= y <= 30.0:
+                continue
+            with mpmath.workdps(80):
+                cx, cy, cz = (mpmath.cosh(mpmath.mpf(v)) for v in (x, y, z))
+                exact = (2 * cx * cy * cz - cx**2 - cy**2 - cz**2 + 1) / mpmath.sinh(mpmath.mpf(z)) ** 2
+            worst = max(worst, float(abs(eta(x, y, z) - exact) / exact))
+            count += 1
+        assert worst <= 1e-11
+
 
 class TestSigma:
     def test_right_angle_at_p1(self):
@@ -272,12 +291,12 @@ class TestPhi:
 
 
 def phi_tangent_mpmath(r, d):
-    """Independent oracle, 40 digits: phi(d + r, r, d) from the closed forms.
+    """Independent oracle, 80 digits: phi(d + r, r, d) from the closed forms.
 
     With rho = d + r the whole scoop lies in the clipping ball, so the lens
     term is the ball B(r).
     """
-    with mpmath.workdps(40):
+    with mpmath.workdps(80):  # tanh(omega) - tanh(psi) cancels ~2 omega / ln 10 digits
         r, d = mpmath.mpf(r), mpmath.mpf(d)
 
         def ball(a):
@@ -303,6 +322,17 @@ class TestPhiAtTangency:
         assert abs(eta(R - d, params.half_eps, d)) < 1e-13
         assert phi(R - d, params.half_eps, d) == pytest.approx(
             float(phi_tangent_mpmath(params.half_eps, d)), rel=1e-12)
+
+    # phi raised DomainError here at 2, 3 and 4 of the 21 radii: eta's expanded numerator
+    # cancelled at small eps, and at eps = 30 an ulp past tangency makes eta -0.04.  The
+    # tolerance is cap_volume's own cancellation at small radii, ~1.5e-9 at eps = 1e-3.
+    @pytest.mark.parametrize("eps", [1e-3, 0.01, 30.0])
+    def test_defined_at_the_left_end_for_small_and_large_eps(self, eps):
+        for R in radius_grid(eps, 21):
+            params = CertifyParams(eps, R)
+            d = params.interval[0]
+            assert phi(R - d, params.half_eps, d) == pytest.approx(
+                float(phi_tangent_mpmath(params.half_eps, d)), rel=1e-8)
 
     def test_eta_beyond_roundoff_still_raises(self):
         r, d = LOG3 / 2, 1.0
