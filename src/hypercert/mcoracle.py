@@ -10,6 +10,12 @@ ball and counts predicate hits; it is the ground-truth oracle for every
 closed form in hypgeo.  Randomness comes from a counter-based Philox stream
 keyed by a 64-bit seed, so results are reproducible regardless of host or
 thread count.
+
+estimate_volume draws the whole stream first, then places the points and
+calls the predicate one block of _BLOCK points at a time, so it never holds
+the whole cloud.  Its predicates must therefore be pointwise: a predicate
+that looks at the whole cloud, such as a quantile, would see one block.
+The points, and so the hit counts, are bitwise those of sample_ball.
 """
 
 from __future__ import annotations
@@ -183,13 +189,15 @@ def _radial_inverse(u: np.ndarray, radius: float) -> np.ndarray:
     return np.clip(t, 0.0, radius, out=t)
 
 
-def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.ndarray:
-    """count i.i.d. volume-uniform samples in the open ball of the given radius.
+# Points per block in estimate_volume, so that a block's working arrays stay
+# near a core's L2 cache: with 2 MiB of L2 per core, 2^13 to 2^15 ran at
+# 4.3-5.0 M samples/s and 2^17 at 3.8-3.9 M.
+_BLOCK = 1 << 15
 
-    Directions are uniform on the 2-sphere, radii follow the sinh^2 density,
-    and the cloud is transported from the basepoint to center.  A fixed seed
-    reproduces the identical stream.
-    """
+
+def _draw(center: np.ndarray, radius: float, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # Check the arguments, then draw the whole stream: count normal triples
+    # (the directions), then count uniforms (the radial CDF values).
     assert_on_sheet(center)
     _check_radius(radius=radius)
     if count < 1:
@@ -198,12 +206,29 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.
         raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     direction = rng.normal(size=(count, 3))
+    return direction, rng.random(count)
+
+
+def _place(direction: np.ndarray, u: np.ndarray, radius: float, center: np.ndarray) -> np.ndarray:
+    # The sample points for the draws (direction, u); normalizes direction in
+    # place.  Each step works row by row, so a slice of two or more draws
+    # gives the same slice of the points, bit for bit.
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    t = _radial_inverse(rng.random(count), radius)
-    local = np.empty((count, 4))
+    t = _radial_inverse(u, radius)
+    local = np.empty((len(u), 4))
     local[:, 0] = np.cosh(t)
     local[:, 1:] = np.sinh(t)[:, None] * direction
     return translate_to(local, center)
+
+
+def sample_ball(center: np.ndarray, radius: float, count: int, seed: int) -> np.ndarray:
+    """count i.i.d. volume-uniform samples in the open ball of the given radius.
+
+    Directions are uniform on the 2-sphere, radii follow the sinh^2 density,
+    and the cloud is transported from the basepoint to center.  A fixed seed
+    reproduces the identical stream.
+    """
+    return _place(*_draw(center, radius, count, seed), radius, center)
 
 
 def estimate_volume(predicate, center: np.ndarray, radius: float, count: int, seed: int) -> McEstimate:
@@ -213,9 +238,29 @@ def estimate_volume(predicate, center: np.ndarray, radius: float, count: int, se
     center (each predicate documents its natural envelope).  mean is
     B(radius) * hits/count and standard_error the binomial error scaled the
     same way.  Zero hits produce a zero estimate flagged on the result.
+
+    The points are sample_ball(center, radius, count, seed), but they are
+    placed and passed to predicate one block of at most _BLOCK points at a
+    time.  So predicate must be pointwise, and it must return a boolean array
+    with one entry per point of its block; anything else raises DomainError.
     """
-    pts = sample_ball(center, radius, count, seed)
-    hits = int(np.count_nonzero(predicate(pts)))
+    direction, u = _draw(center, radius, count, seed)
+    hits = 0
+    start = 0
+    while start < count:
+        # translate_to multiplies a lone point by the boost as a vector, which
+        # rounds differently from the matrix product; so the last block takes
+        # up to _BLOCK + 1 points, and no block of a larger draw has one
+        stop = count if count - start <= _BLOCK + 1 else start + _BLOCK
+        pts = _place(direction[start:stop], u[start:stop], radius, center)
+        inside = np.asarray(predicate(pts))
+        if inside.dtype != bool or inside.shape != (len(pts),):
+            raise DomainError(
+                f"predicate must return one bool per point, shape ({len(pts)},); "
+                f"got {inside.dtype} of shape {inside.shape}"
+            )
+        hits += int(np.count_nonzero(inside))
+        start = stop
     total = ball_volume(radius)
     p_hat = hits / count
     se = total * math.sqrt(p_hat * (1.0 - p_hat) / count)

@@ -336,6 +336,15 @@ class TestMcCheck:
         assert result.exit_code == 0
         assert json.loads(result.output)["within3Sigma"] is True
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: mcoracle._dist cancels ~1e86-sized terms 100 from the basepoint, "
+        "so the ball's distances there are noise and the 3-sigma check fails"))
+    def test_ball_of_radius_100_is_exact(self, runner):
+        result = runner.invoke(main, ["--format", "json", "mc-check", "--shape", "ball",
+                                      "--params", "100", "--samples", "20000"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["deviationSigmas"] == 0.0
+
     @pytest.mark.parametrize("w", ["800", "-800"])
     def test_cap_with_far_plane(self, runner, w):
         # the cap's axis point only sets a direction, so a far plane is not an overflow

@@ -107,6 +107,16 @@ class TestCapVolume:
         # derived from the quadrature oracle
         assert cap_volume(1.0, 0.5) == pytest.approx(0.6694232433005802, abs=1e-12)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: tanh r - tanh w cancels once both round near 1, "
+        "so cap_volume(20, 19) returns 17.38"))
+    def test_thin_cap_far_out_matches_mpmath(self):
+        with mpmath.workdps(50):
+            r, w = mpmath.mpf(20), mpmath.mpf(19)
+            exact = mpmath.pi * (mpmath.cosh(r) ** 2 * (mpmath.tanh(r) - mpmath.tanh(w)) - (r - w))
+        assert float(exact) == pytest.approx(6.894313198297, rel=1e-12)
+        assert cap_volume(20.0, 19.0) == pytest.approx(float(exact), rel=1e-13)
+
     def test_rejects_bad_radius(self):
         with pytest.raises(DomainError):
             cap_volume(-1.0, 0.0)

@@ -28,8 +28,9 @@ from hypercert import (
     theta,
     translate_to,
 )
+from hypercert.cli import _SHAPE_DEFAULTS, _mc_setup
 from hypercert.hypgeo import MAX_RADIUS
-from hypercert.mcoracle import _radial_inverse
+from hypercert.mcoracle import _BLOCK, _radial_inverse
 
 
 def hpoint(x1: float, x2: float, x3: float) -> np.ndarray:
@@ -258,6 +259,37 @@ class TestEstimator:
         a = estimate_volume(pred, BASEPOINT, 1.0, 50_000, seed=8)
         b = estimate_volume(pred, BASEPOINT, 1.0, 50_000, seed=8)
         assert a == b
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPE_DEFAULTS))
+    def test_blocks_are_the_whole_cloud(self, shape):
+        # estimate_volume places and tests the points block by block; the
+        # blocks are sample_ball's cloud bit for bit, so the hits are its hits
+        predicate, center, radius, _ = _mc_setup(shape, _SHAPE_DEFAULTS[shape])
+        for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7):
+            blocks = []
+
+            def recording(p):
+                blocks.append(p.copy())
+                return predicate(p)
+
+            est = estimate_volume(recording, center, radius, count, seed=14)
+            cloud = sample_ball(center, radius, count, seed=14)
+            assert np.array_equal(np.concatenate(blocks), cloud)
+            assert max(len(b) for b in blocks) <= _BLOCK + 1
+            assert min(len(b) for b in blocks) > 1 or count == 1
+            hits = np.count_nonzero(predicate(cloud))
+            assert est.mean == ball_volume(radius) * (hits / count)
+            assert est == estimate_volume(predicate, center, radius, count, seed=14)
+
+    @pytest.mark.parametrize("predicate", [
+        pytest.param(lambda p: True, id="scalar"),
+        pytest.param(lambda p: np.ones(p.shape, dtype=bool), id="per-coordinate"),
+        pytest.param(lambda p: np.ones(len(p)), id="float"),
+    ])
+    def test_rejects_malformed_predicate_result(self, predicate):
+        # np.count_nonzero would count one hit per block, four per point, or each nonzero float
+        with pytest.raises(DomainError, match="one bool per point"):
+            estimate_volume(predicate, BASEPOINT, 0.9, 1000, seed=15)
 
 
 class TestPredicates:
