@@ -5,22 +5,20 @@ JSON output is one line written by the json module, each real in its shortest
 round-trip form and a non-finite scalar as null; csv and human output give reals
 17 significant digits.  Either way parsing recovers the exact binary64 values.
 
-Exit codes: 0 success, 1 certification or cross-check failure, 2 invalid input.
-Each of the four global options can also be supplied through its environment
-variable (HYPERCERT_FORMAT, HYPERCERT_OUTPUT, HYPERCERT_QUAD_TOL, HYPERCERT_SLACK);
-subcommand options take none.  Messages about a run, such as a radius that
-optimize skipped or an mc-check with no hits, are plain lines on stderr.
+Exit codes: 0 success, 1 certification or cross-check failure, 2 invalid input,
+with argparse's usage and one "hypercert: error: ..." line on stderr.  Options
+are set on the command line only; no environment variable is read.  Messages
+about a run, such as a radius that optimize skipped or an mc-check with no hits,
+are plain lines on stderr.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional
-
-import click
 
 from . import bounds as bounds_mod
 from . import certify as certify_mod
@@ -30,26 +28,20 @@ from .certify import _fmt
 
 DEFAULT_SEED = 0xC3A7E
 DEFAULT_SAMPLES = 1_000_000
+PRIME_LIMIT = 318_665_857_834_031_151_167_461  # 399165290221 * 798330580441
 
 
-@dataclass
-class CliConfig:
-    format: str
-    output: Optional[str]
-    quad_tol: float
-    slack: float
-
-    @property
-    def quad_cfg(self) -> density_mod.QuadratureConfig:
-        return density_mod.QuadratureConfig(abs_tol=self.quad_tol)
-
-
-def _emit(cfg: CliConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=not text.endswith("\n"))
+def _emit(args: argparse.Namespace, text: str) -> None:
+    """Write text, which ends in a newline, to --output or else to stdout."""
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        raise hypgeo.DomainError(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _json(obj: dict) -> str:
@@ -83,13 +75,13 @@ def _scalar_human(items: list[tuple[str, object]]) -> str:
     return "".join(f"{key:<{width}}  {_scalar_text(value, ', ')}\n" for key, value in items)
 
 
-def _emit_scalars(cfg: CliConfig, items: list[tuple[str, object]]) -> None:
-    if cfg.format == "json":
-        _emit(cfg, _json(dict(items)))
-    elif cfg.format == "csv":
-        _emit(cfg, _scalar_csv(items))
+def _emit_scalars(args: argparse.Namespace, items: list[tuple[str, object]]) -> None:
+    if args.format == "json":
+        _emit(args, _json(dict(items)))
+    elif args.format == "csv":
+        _emit(args, _scalar_csv(items))
     else:
-        _emit(cfg, _scalar_human(items))
+        _emit(args, _scalar_human(items))
 
 
 def _certificate_human(cert: certify_mod.PartitionCertificate) -> str:
@@ -99,18 +91,21 @@ def _certificate_human(cert: certify_mod.PartitionCertificate) -> str:
     return head + "\n" + "\n".join(row.replace(",", "  ") for row in rows) + "\n"
 
 
-def _emit_certificate(cfg: CliConfig, cert: certify_mod.PartitionCertificate) -> None:
-    if cfg.format == "json":
-        _emit(cfg, certify_mod.certificate_to_json(cert))
-    elif cfg.format == "csv":
-        _emit(cfg, certify_mod.certificate_to_csv(cert))
+def _emit_certificate(args: argparse.Namespace, cert: certify_mod.PartitionCertificate) -> None:
+    if args.format == "json":
+        _emit(args, certify_mod.certificate_to_json(cert))
+    elif args.format == "csv":
+        _emit(args, certify_mod.certificate_to_csv(cert))
     else:
-        _emit(cfg, _certificate_human(cert))
+        _emit(args, _certificate_human(cert))
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the prime bases up to 37: exact for every n < 3.18e23."""
+    """Miller-Rabin with the prime bases up to 37: exact for every n below PRIME_LIMIT, the
+    least strong pseudoprime to all of them, and a DomainError at or above it."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n >= PRIME_LIMIT:
+        raise hypgeo.DomainError(f"prime must be below {PRIME_LIMIT}, where the test is exact; got {n}")
     if n < 2:
         return False
     if n in bases:
@@ -133,67 +128,27 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _parse_epsilon(text: str) -> float:
-    if text.strip() == "log3":
-        return certify_mod.REFERENCE_EPSILON
+def _parse_real(name: str, text: str, aliases: tuple[str, ...], value: float) -> float:
+    if text.strip() in aliases:
+        return value
     try:
         return float(text)
     except ValueError:
-        raise click.UsageError(f"cannot parse epsilon {text!r} (a decimal literal or 'log3')")
+        names = " or ".join(map(repr, aliases))
+        raise hypgeo.DomainError(f"cannot parse {name} {text!r} (a decimal literal or {names})")
+
+
+def _parse_epsilon(text: str) -> float:
+    return _parse_real("epsilon", text, ("log3",), certify_mod.REFERENCE_EPSILON)
 
 
 def _parse_radius(text: str) -> float:
-    if text.strip() in ("log3-paper", "reference"):
-        return certify_mod.REFERENCE_RADIUS
-    try:
-        return float(text)
-    except ValueError:
-        raise click.UsageError(
-            f"cannot parse R {text!r} (a decimal literal, 'log3-paper' or 'reference')"
-        )
+    return _parse_real("R", text, ("log3-paper", "reference"), certify_mod.REFERENCE_RADIUS)
 
 
-class _Command(click.Command):
-    """A subcommand whose DomainError from the library is a usage error (exit 2), and whose
-    QuadratureError is one stderr line and exit 1."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except hypgeo.DomainError as exc:
-            raise click.UsageError(str(exc), ctx) from exc
-        except density_mod.QuadratureError as exc:
-            click.echo(f"quadrature failure: {exc}", err=True)
-            sys.exit(1)
-
-
-class _Group(click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
-@click.option("--format", "-f", "fmt", type=click.Choice(["json", "csv", "human"]), default="human",
-              show_default=True, envvar="HYPERCERT_FORMAT", help="Output format.")
-@click.option("--output", "-o", type=click.Path(dir_okay=False, writable=True), default=None,
-              envvar="HYPERCERT_OUTPUT", help="Write output to a file instead of stdout.")
-@click.option("--quad-tol", type=float, default=density_mod.DEFAULT_QUADRATURE.abs_tol,
-              show_default=True, envvar="HYPERCERT_QUAD_TOL",
-              help="Absolute tolerance for the density quadrature.")
-@click.option("--slack", type=float, default=certify_mod.DEFAULT_SLACK, show_default=True,
-              envvar="HYPERCERT_SLACK", help="Decision slack subtracted before goodness/target comparisons.")
-@click.pass_context
-def main(ctx: click.Context, fmt: str, output: Optional[str], quad_tol: float, slack: float) -> None:
-    """Certified hyperbolic-volume lower bounds and the constants they imply."""
-    if not all(math.isfinite(t) and t > 0 for t in (quad_tol, slack)):
-        raise click.UsageError("tolerances must be positive and finite")
-    ctx.obj = CliConfig(format=fmt, output=output, quad_tol=quad_tol, slack=slack)
-
-
-@main.command()
-@click.pass_obj
-def constants(cfg: CliConfig) -> None:
+def constants(args: argparse.Namespace) -> None:
     """Reproduce the headline constants at the reference parameters."""
-    quad = cfg.quad_cfg
+    quad = args.quad_cfg
     half = 0.5 * certify_mod.REFERENCE_EPSILON
     b_half = density_mod.b_ratio(half, quad)
     quotient, valence = certify_mod._valence(certify_mod.REFERENCE_RADIUS, certify_mod.REFERENCE_TARGET_C,
@@ -210,89 +165,68 @@ def constants(cfg: CliConfig) -> None:
         ("valenceBound", valence),
         ("quadratureTolerance", quad.abs_tol),
     ]
-    _emit_scalars(cfg, items)
+    _emit_scalars(args, items)
 
 
-@main.command()
-@click.pass_obj
-def verify(cfg: CliConfig) -> None:
+def verify(args: argparse.Namespace) -> None:
     """Check the built-in 47-cell reference partition (target c = 0.496)."""
     try:
-        cert = certify_mod.verify_reference_partition(slack=cfg.slack)
+        cert = certify_mod.verify_reference_partition(slack=args.slack)
     except certify_mod.CertificationError as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        print(f"verification failed: {exc}", file=sys.stderr)
         sys.exit(1)
-    _emit_certificate(cfg, cert)
+    _emit_certificate(args, cert)
 
 
-@main.command()
-@click.option("--epsilon", required=True, help="Margulis parameter (decimal or 'log3').")
-@click.option("--R", "radius", required=True, help="Ball radius (decimal, 'log3-paper' or 'reference').")
-@click.option("--c", "target_c", type=float, required=True, help="Target lower bound to certify.")
-@click.option("--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, show_default=True)
-@click.pass_obj
-def certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float, max_depth: int) -> None:
+def certify(args: argparse.Namespace) -> None:
     """Adaptively certify Phi > c on the admissible interval for (epsilon, R)."""
-    _emit_certificate(cfg, _certify(cfg, epsilon, radius, target_c, max_depth))
+    _emit_certificate(args, _certify(args))
 
 
-def _certify(cfg: CliConfig, epsilon: str, radius: str, target_c: float,
-             max_depth: int) -> certify_mod.PartitionCertificate:
-    """Certify Phi > target_c at the parsed (epsilon, R), or report the failing cell and exit 1."""
-    params = certify_mod.CertifyParams(_parse_epsilon(epsilon), _parse_radius(radius))
-    result = certify_mod.certify_lower_bound(params, target_c, max_depth, cfg.slack)
+def _certify(args: argparse.Namespace) -> certify_mod.PartitionCertificate:
+    """Certify Phi > args.target_c at the parsed (epsilon, R), or report the failing cell and exit 1."""
+    params = certify_mod.CertifyParams(_parse_epsilon(args.epsilon), _parse_radius(args.radius))
+    result = certify_mod.certify_lower_bound(params, args.target_c, args.max_depth, args.slack)
     if not result.success:
         witness = result.witness
-        click.echo(f"certification failed: {result.message}", err=True)
+        print(f"certification failed: {result.message}", file=sys.stderr)
         if witness is not None:
-            click.echo(
-                f"witness cell [{_fmt(witness.d_lo)}, {_fmt(witness.d_hi)}] "
-                f"margins=({', '.join(_fmt(m) for m in witness.margins)}) "
-                f"phiLo={_fmt(witness.phi_lo)}",
-                err=True,
-            )
+            print(f"witness cell [{_fmt(witness.d_lo)}, {_fmt(witness.d_hi)}] "
+                  f"margins=({', '.join(_fmt(m) for m in witness.margins)}) phiLo={_fmt(witness.phi_lo)}",
+                  file=sys.stderr)
         sys.exit(1)
     assert result.certificate is not None
     return result.certificate
 
 
-@main.command()
-@click.option("--epsilon", required=True, help="Margulis parameter (decimal or 'log3').")
-@click.option("--grid", required=True,
-              help="Either a point count (radii evenly spaced in (2eps, 5eps/2)) or a comma list of radii.")
-@click.option("--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, show_default=True)
-@click.option("--c-tol", type=float, default=1e-5, show_default=True,
-              help="Absolute tolerance on c: the search stops within it of the least Phi it sampled.")
-@click.pass_obj
-def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: float) -> None:
+def optimize(args: argparse.Namespace) -> None:
     """Scan radii for the largest certifiable c and the minimal valence bound."""
-    eps = _parse_epsilon(epsilon)
+    eps, grid = _parse_epsilon(args.epsilon), args.grid
     if "," in grid:
         try:
             radii = [float(tok) for tok in grid.split(",") if tok.strip()]
         except ValueError as exc:
-            raise click.UsageError(f"cannot parse grid {grid!r}: {exc}")
+            raise hypgeo.DomainError(f"cannot parse grid {grid!r}: {exc}")
     elif grid.strip().isdecimal():  # the digits int() reads
         radii = certify_mod.radius_grid(eps, int(grid))
     else:
         radii = [_parse_radius(grid)]
     try:
-        scan = certify_mod.optimize_radius(
-            eps, radii, quad_cfg=cfg.quad_cfg, c_tol=c_tol, max_depth=max_depth, slack=cfg.slack
-        )
+        scan = certify_mod.optimize_radius(eps, radii, quad_cfg=args.quad_cfg, c_tol=args.c_tol,
+                                           max_depth=args.max_depth, slack=args.slack)
     except certify_mod.CertificationError as exc:
-        click.echo(f"optimization failed: {exc}", err=True)
+        print(f"optimization failed: {exc}", file=sys.stderr)
         sys.exit(1)
     for r, reason in scan.skipped:
-        click.echo(f"optimize: skipping R={r}: {reason}", err=True)
-    if cfg.format == "csv":
+        print(f"optimize: skipping R={r}: {reason}", file=sys.stderr)
+    if args.format == "csv":
         lines = ["R,certifiedC,valenceBound"]
         lines += [f"{_fmt(e.R)},{_fmt(e.certified_c)},{e.valence_bound}" for e in scan.entries]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
         return
-    if cfg.format == "json":
+    if args.format == "json":
         entry = lambda e: {"R": e.R, "certifiedC": e.certified_c, "valenceBound": e.valence_bound, "gap": e.gap}
-        _emit(cfg, _json({
+        _emit(args, _json({
             "epsilon": scan.epsilon,
             "bHalfEps": scan.b_half_eps,
             "entries": [entry(e) for e in scan.entries],
@@ -309,26 +243,16 @@ def optimize(cfg: CliConfig, epsilon: str, grid: str, max_depth: int, c_tol: flo
     b = scan.best
     lines.append("")
     lines.append(f"best: R={_fmt(b.R)} certifiedC={_fmt(b.certified_c)} valenceBound={b.valence_bound}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
 
 
-@main.command()
-@click.option("--volume", type=float, required=True, help="Hyperbolic volume of the manifold.")
-@click.option("--cusped", type=bool, default=False, show_default=True,
-              help="True if the manifold is non-compact.")
-@click.option("--prime", type=int, default=2, show_default=True, help="Coefficient field prime p.")
-@click.option("--epsilon", default=None, help="Optional: also emit a rank bound at these parameters.")
-@click.option("--R", "radius", default=None, help="Radius for the rank bound.")
-@click.option("--c", "target_c", type=float, default=None, help="Certified constant for the rank bound.")
-@click.option("--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, show_default=True)
-@click.pass_obj
-def bound(cfg: CliConfig, volume: float, cusped: bool, prime: int, epsilon: Optional[str],
-          radius: Optional[str], target_c: Optional[float], max_depth: int) -> None:
+def bound(args: argparse.Namespace) -> None:
     """Homology dimension bound for a manifold of the given volume (and optionally a rank bound)."""
-    if not _is_prime(prime):
-        raise click.UsageError(f"prime must be a prime number, got {prime}")
-    quad = cfg.quad_cfg
-    query = bounds_mod.HomologyBoundQuery(volume=volume, compact=not cusped, prime_is_two=prime == 2)
+    if not _is_prime(args.prime):
+        raise hypgeo.DomainError(f"prime must be a prime number, got {args.prime}")
+    quad, volume = args.quad_cfg, args.volume
+    query = bounds_mod.HomologyBoundQuery(volume=volume, compact=not _BOOLEANS[args.cusped],
+                                          prime_is_two=args.prime == 2)
     name, coeff = bounds_mod.homology_coefficient(query, quad)
     items: list[tuple[str, object]] = [
         ("volume", volume),
@@ -340,17 +264,17 @@ def bound(cfg: CliConfig, volume: float, cusped: bool, prime: int, epsilon: Opti
         ("smallRankBound", bounds_mod.small_rank_bound(volume)),
         ("quadratureTolerance", quad.abs_tol),
     ]
-    rank_requested = any(v is not None for v in (epsilon, radius, target_c))
-    if rank_requested:
-        if epsilon is None or radius is None or target_c is None:
-            raise click.UsageError("rank bounds need all of --epsilon, --R and --c")
-        cert = _certify(cfg, epsilon, radius, target_c, max_depth)
+    rank_flags = (args.epsilon, args.radius, args.target_c)
+    if any(v is not None for v in rank_flags):
+        if None in rank_flags:
+            raise hypgeo.DomainError("rank bounds need all of --epsilon, --R and --c")
+        cert = _certify(args)
         try:
             report = bounds_mod.rank_bound_report(
-                cert.params.epsilon, cert.params.R, target_c, cert, quad_cfg=quad, slack=cfg.slack
+                cert.params.epsilon, cert.params.R, args.target_c, cert, quad_cfg=quad, slack=args.slack
             )
         except certify_mod.CertificationError as exc:
-            raise click.UsageError(str(exc))
+            raise hypgeo.DomainError(str(exc))
         items += [
             ("rankBound", report.rank_bound(volume)),
             ("rankCoefficient", report.rank_coefficient),
@@ -358,10 +282,10 @@ def bound(cfg: CliConfig, volume: float, cusped: bool, prime: int, epsilon: Opti
             ("certifiedC", cert.certified_c),
             ("cellCount", cert.cell_count),
         ]
-        if cfg.output and cfg.format == "json":
-            _emit(cfg, bounds_mod.report_to_json(report, cert))
+        if args.output and args.format == "json":
+            _emit(args, bounds_mod.report_to_json(report, cert))
             return
-    _emit_scalars(cfg, items)
+    _emit_scalars(args, items)
 
 
 _SHAPE_DEFAULTS = {
@@ -390,21 +314,13 @@ def _mc_setup(shape: str, params: tuple[float, ...]):
     if shape == "lens":
         r1, r2, d = params
         if not (r2 < min(d, r1) and d < r1 + r2 and r1 < r2 + d):
-            raise hypgeo.DomainError(
-                f"lens needs r2 < min(d, r1), d < r1 + r2, r1 < r2 + d; got {params}"
-            )
+            raise hypgeo.DomainError(f"lens needs r2 < min(d, r1), d < r1 + r2, r1 < r2 + d; got {params}")
         c2 = mcoracle.axis_point(d)
-        return (
-            lambda p: mcoracle.in_lens(p, base, r1, c2, r2),
-            c2, r2, hypgeo.lens_volume(r1, r2, d),
-        )
+        return (lambda p: mcoracle.in_lens(p, base, r1, c2, r2)), c2, r2, hypgeo.lens_volume(r1, r2, d)
     if shape == "cone":
         a, beta = params
         toward = mcoracle.axis_point(1.0)
-        return (
-            lambda p: mcoracle.in_cone(p, base, toward, a, beta),
-            base, a, hypgeo.cone_volume(a, beta),
-        )
+        return (lambda p: mcoracle.in_cone(p, base, toward, a, beta)), base, a, hypgeo.cone_volume(a, beta)
     if shape == "icecream":
         r, d = params
         if not 0.0 < r < d:
@@ -417,41 +333,30 @@ def _mc_setup(shape: str, params: tuple[float, ...]):
         if not (r < d < rho < d + r):
             raise hypgeo.DomainError(f"phi region needs r < d < rho < d + r, got {params}")
         scoop = mcoracle.axis_point(d)
-        return (
-            lambda p: mcoracle.in_icecream(p, base, scoop, r) & mcoracle.in_ball(p, base, rho),
-            base, min(rho, d + r), hypgeo.phi(rho, r, d),
-        )
+        predicate = lambda p: mcoracle.in_icecream(p, base, scoop, r) & mcoracle.in_ball(p, base, rho)
+        return predicate, base, min(rho, d + r), hypgeo.phi(rho, r, d)
     raise hypgeo.DomainError(f"unknown shape {shape!r}")
 
 
-@main.command("mc-check")
-@click.option("--shape", type=click.Choice(sorted(_SHAPE_DEFAULTS)), required=True)
-@click.option("--params", default=None,
-              help="Comma-separated shape parameters (defaults are shape-specific).")
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True,
-              help="Sample count for the Monte-Carlo estimate.")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Seed for Monte-Carlo sampling.")
-@click.pass_obj
-def mc_check(cfg: CliConfig, shape: str, params: Optional[str], samples: int, seed: int) -> None:
+def mc_check(args: argparse.Namespace) -> None:
     """Cross-check a closed-form volume against the Monte-Carlo estimator."""
+    shape, params = args.shape, args.params
     if params is None:
         values = _SHAPE_DEFAULTS[shape]
     else:
         try:
             values = tuple(float(tok) for tok in params.split(",") if tok.strip())
         except ValueError as exc:
-            raise click.UsageError(f"cannot parse params {params!r}: {exc}")
+            raise hypgeo.DomainError(f"cannot parse params {params!r}: {exc}")
         if len(values) != len(_SHAPE_DEFAULTS[shape]):
-            raise click.UsageError(
-                f"shape {shape!r} takes {len(_SHAPE_DEFAULTS[shape])} parameters, got {len(values)}"
-            )
+            raise hypgeo.DomainError(f"shape {shape!r} takes {len(_SHAPE_DEFAULTS[shape])} parameters, "
+                                     f"got {len(values)}")
     from . import mcoracle
 
     predicate, center, radius, closed = _mc_setup(shape, values)
-    est = mcoracle.estimate_volume(predicate, center, radius, samples, seed)
+    est = mcoracle.estimate_volume(predicate, center, radius, args.samples, args.seed)
     if est.zero_hits:
-        click.echo("mc-check: no hits inside the envelope; the estimate is 0", err=True)
+        print("mc-check: no hits inside the envelope; the estimate is 0", file=sys.stderr)
     deviation = abs(est.mean - closed) / est.standard_error if est.standard_error > 0 else (
         0.0 if est.mean == closed else math.inf
     )
@@ -467,8 +372,102 @@ def mc_check(cfg: CliConfig, shape: str, params: Optional[str], samples: int, se
         ("deviationSigmas", deviation),
         ("within3Sigma", within),
     ]
-    _emit_scalars(cfg, items)
+    _emit_scalars(args, items)
     if not within:
+        sys.exit(1)
+
+
+_BOOLEANS = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+             **dict.fromkeys(("0", "false", "f", "no", "n", "off"), False)}
+
+
+def _parser() -> tuple[argparse.ArgumentParser, set[str]]:
+    """The argument parser, and the option strings that take a value: all but --help."""
+    takes_value: set[str] = set()
+
+    def option(parser: argparse.ArgumentParser, *names: str, **kwargs) -> None:
+        takes_value.update(names)
+        parser.add_argument(*names, **kwargs)
+
+    parser = argparse.ArgumentParser(
+        prog="hypercert", allow_abbrev=False,
+        description="Certified hyperbolic-volume lower bounds and the constants they imply.")
+    option(parser, "--format", "-f", choices=["json", "csv", "human"], default="human", help="Output format.")
+    option(parser, "--output", "-o", help="Write output to a file instead of stdout.")
+    option(parser, "--quad-tol", type=float, default=density_mod.DEFAULT_QUADRATURE.abs_tol,
+           help="Absolute tolerance for the density quadrature (default: %(default)s).")
+    option(parser, "--slack", type=float, default=certify_mod.DEFAULT_SLACK,
+           help="Decision slack subtracted before goodness/target comparisons (default: %(default)s).")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run) -> argparse.ArgumentParser:
+        sub = commands.add_parser(run.__name__.replace("_", "-"), help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    eps_help = "Margulis parameter (decimal or 'log3')."
+    depth_help = "Deepest cell split of the search (default: %(default)s)."
+    command(constants)
+    command(verify)
+    sub = command(certify)
+    option(sub, "--epsilon", required=True, help=eps_help)
+    option(sub, "--R", dest="radius", required=True,
+           help="Ball radius (decimal, 'log3-paper' or 'reference').")
+    option(sub, "--c", dest="target_c", type=float, required=True, help="Target lower bound to certify.")
+    option(sub, "--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, help=depth_help)
+    sub = command(optimize)
+    option(sub, "--epsilon", required=True, help=eps_help)
+    option(sub, "--grid", required=True,
+           help="Either a point count (radii evenly spaced in (2eps, 5eps/2)) or a comma list of radii.")
+    option(sub, "--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, help=depth_help)
+    option(sub, "--c-tol", type=float, default=1e-5,
+           help="Absolute tolerance on c: the search stops within it of the least Phi it sampled "
+                "(default: %(default)s).")
+    sub = command(bound)
+    option(sub, "--volume", type=float, required=True, help="Hyperbolic volume of the manifold.")
+    option(sub, "--cusped", type=lambda text: text.strip().lower(), choices=_BOOLEANS, default="false",
+           help="True if the manifold is non-compact, in any case (default: %(default)s).")
+    option(sub, "--prime", type=int, default=2, help="Coefficient field prime p (default: %(default)s).")
+    option(sub, "--epsilon", help="Optional: also emit a rank bound at these parameters.")
+    option(sub, "--R", dest="radius", help="Radius for the rank bound.")
+    option(sub, "--c", dest="target_c", type=float, help="Certified constant for the rank bound.")
+    option(sub, "--max-depth", type=int, default=certify_mod.DEFAULT_MAX_DEPTH, help=depth_help)
+    sub = command(mc_check)
+    option(sub, "--shape", choices=sorted(_SHAPE_DEFAULTS), required=True)
+    option(sub, "--params", help="Comma-separated shape parameters (defaults are shape-specific).")
+    option(sub, "--samples", type=int, default=DEFAULT_SAMPLES,
+           help="Sample count for the Monte-Carlo estimate (default: %(default)s).")
+    option(sub, "--seed", type=int, default=DEFAULT_SEED,
+           help="Seed for Monte-Carlo sampling (default: %(default)s).")
+    return parser, takes_value
+
+
+def _attach_values(argv: list[str], takes_value: set[str]) -> list[str]:
+    """Join a value-taking option and a next token that starts with '-' into one, as in --c=-1e-3:
+    argparse reads such a token as an option unless it looks like a negative number, as -1e-3 does not."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in takes_value and token.startswith("-"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
+def main(argv: Optional[list[str]] = None) -> None:
+    """Run the command line on argv (default: sys.argv[1:])."""
+    parser, takes_value = _parser()
+    args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv, takes_value))
+    try:
+        if not all(math.isfinite(t) and t > 0 for t in (args.quad_tol, args.slack)):
+            raise hypgeo.DomainError("tolerances must be positive and finite")
+        args.quad_cfg = density_mod.QuadratureConfig(abs_tol=args.quad_tol)
+        args.run(args)
+    except hypgeo.DomainError as exc:
+        parser.error(str(exc))
+    except density_mod.QuadratureError as exc:
+        print(f"quadrature failure: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

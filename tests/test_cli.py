@@ -7,22 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from hypercert import QuadratureError, ball_volume
-from hypercert.cli import DEFAULT_SAMPLES, DEFAULT_SEED, main
+from hypercert.cli import DEFAULT_SAMPLES, DEFAULT_SEED, PRIME_LIMIT
 
 LOG3 = math.log(3.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
-
-
-def invoke(runner, *args, **kwargs):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
 
 
 def run_python(*argv):
@@ -33,8 +23,8 @@ def run_python(*argv):
 
 
 class TestConstants:
-    def test_json_values(self, runner):
-        result = invoke(runner, "--format", "json", "constants")
+    def test_json_values(self, cli):
+        result = cli("--format", "json", "constants")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert 168.601 <= obj["lambda1"] < 168.602
@@ -46,33 +36,33 @@ class TestConstants:
             "valenceBound", "quadratureTolerance",
         }
 
-    def test_human_contains_same_numbers(self, runner):
-        json_out = json.loads(invoke(runner, "--format", "json", "constants").output)
-        human = invoke(runner, "constants").output
+    def test_human_contains_same_numbers(self, cli):
+        json_out = json.loads(cli("--format", "json", "constants").output)
+        human = cli("constants").output
         assert format(json_out["lambda1"], ".17g") in human
         assert format(json_out["bHalfEps"], ".17g") in human
 
-    def test_csv_shape(self, runner):
-        result = invoke(runner, "--format", "csv", "constants")
+    def test_csv_shape(self, cli):
+        result = cli("--format", "csv", "constants")
         lines = result.output.strip().splitlines()
         assert lines[0] == "name,value"
         assert len(lines) == 11
 
-    def test_valence_ignores_the_slack_option(self, runner):
+    def test_valence_ignores_the_slack_option(self, cli):
         # the reference valence is checked at the default slack, as reference_valence_bound is;
         # at 0.1 the condition (c) check would refuse it
-        obj = json.loads(invoke(runner, "--format", "json", "--slack", "0.1", "constants").output)
+        obj = json.loads(cli("--format", "json", "--slack", "0.1", "constants").output)
         assert obj["valenceBound"] == 314 and 314.6 < obj["valenceQuotient"] < 314.7
 
-    def test_determinism(self, runner):
-        a = invoke(runner, "--format", "json", "constants").output
-        b = invoke(runner, "--format", "json", "constants").output
+    def test_determinism(self, cli):
+        a = cli("--format", "json", "constants").output
+        b = cli("--format", "json", "constants").output
         assert a == b
 
 
 class TestVerify:
-    def test_exit_zero_and_certificate(self, runner):
-        result = invoke(runner, "--format", "json", "verify")
+    def test_exit_zero_and_certificate(self, cli):
+        result = cli("--format", "json", "verify")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["cellCount"] == 47
@@ -80,102 +70,115 @@ class TestVerify:
         phis = [c["phiLo"] for c in obj["cells"]]
         assert phis.index(min(phis)) + 1 == 45
 
-    def test_output_file(self, runner, tmp_path):
+    def test_output_file(self, cli, tmp_path):
         target = tmp_path / "cert.json"
-        result = invoke(runner, "--format", "json", "--output", str(target), "verify")
+        result = cli("--format", "json", "--output", str(target), "verify")
         assert result.exit_code == 0
         assert json.loads(target.read_text())["cellCount"] == 47
 
-    def test_human_bytes(self, runner):
-        digest = hashlib.sha256(invoke(runner, "verify").stdout.encode()).hexdigest()
+    @pytest.mark.parametrize("where", ["missing-dir/cert.json", "."])
+    def test_unwritable_output_exits_two(self, cli, tmp_path, where):
+        result = cli("--output", str(tmp_path / where), "verify")
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.splitlines()[-1].startswith("hypercert: error: cannot write --output")
+
+    def test_human_bytes(self, cli):
+        digest = hashlib.sha256(cli("verify").stdout.encode()).hexdigest()
         assert digest == "b46f359b67fb8d3060d5507b956aa2568551157886578e701b3df61eb68cd12e"
 
 
 class TestCertify:
-    def test_reference_parameters_succeed(self, runner):
-        result = invoke(
-            runner, "--format", "json", "certify",
+    def test_reference_parameters_succeed(self, cli):
+        result = cli(
+            "--format", "json", "certify",
             "--epsilon", "1.0986122886681098", "--R", "2.3472245773362196", "--c", "0.496",
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["certifiedC"] > 0.496
 
-    def test_aliases(self, runner):
-        result = invoke(runner, "--format", "json", "certify",
+    def test_aliases(self, cli):
+        result = cli("--format", "json", "certify",
                         "--epsilon", "log3", "--R", "log3-paper", "--c", "0.496")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["epsilon"] == pytest.approx(LOG3, abs=1e-15)
         assert obj["R"] == pytest.approx(2 * LOG3 + 0.15, abs=1e-15)
 
-    def test_unreachable_target_exits_one(self, runner):
-        result = runner.invoke(main, ["certify", "--epsilon", "log3", "--R", "log3-paper", "--c", "1.0"])
+    @pytest.mark.parametrize("c", [("--c", "-1e-3"), ("--c=-1e-3",)], ids=["separate", "joined"])
+    def test_negative_exponent_target(self, cli, c):
+        # argparse alone reads the separate -1e-3 as an unknown option
+        result = cli("--format", "json", *CERTIFY_REF, *c)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["certifiedC"] > 0.0
+
+    def test_unreachable_target_exits_one(self, cli):
+        result = cli("certify", "--epsilon", "log3", "--R", "log3-paper", "--c", "1.0")
         assert result.exit_code == 1
         assert "witness" in result.output
 
-    def test_invalid_window_exits_two(self, runner):
-        result = runner.invoke(main, ["certify", "--epsilon", "1.0", "--R", "1.9", "--c", "0.1"])
+    def test_invalid_window_exits_two(self, cli):
+        result = cli("certify", "--epsilon", "1.0", "--R", "1.9", "--c", "0.1")
         assert result.exit_code == 2
 
-    def test_unparseable_epsilon_exits_two(self, runner):
-        result = runner.invoke(main, ["certify", "--epsilon", "ln3", "--R", "2.3", "--c", "0.1"])
+    def test_unparseable_epsilon_exits_two(self, cli):
+        result = cli("certify", "--epsilon", "ln3", "--R", "2.3", "--c", "0.1")
         assert result.exit_code == 2
 
 
 class TestOptimize:
-    def test_single_point_grid(self, runner):
-        result = invoke(runner, "--format", "json", "optimize",
+    def test_single_point_grid(self, cli):
+        result = cli("--format", "json", "optimize",
                         "--epsilon", "log3", "--grid", "log3-paper", "--c-tol", "1e-3")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["best"]["valenceBound"] == 314
         assert len(obj["entries"]) == 1
 
-    def test_csv_output(self, runner):
-        result = invoke(runner, "--format", "csv", "optimize",
+    def test_csv_output(self, cli):
+        result = cli("--format", "csv", "optimize",
                         "--epsilon", "log3", "--grid", "log3-paper", "--c-tol", "1e-3")
         lines = result.output.strip().splitlines()
         assert lines[0] == "R,certifiedC,valenceBound"
         assert len(lines) == 2
 
-    def test_json_reports_the_gap(self, runner):
-        result = invoke(runner, "--format", "json", "optimize", "--epsilon", "log3", "--grid", "3")
+    def test_json_reports_the_gap(self, cli):
+        result = cli("--format", "json", "optimize", "--epsilon", "log3", "--grid", "3")
         obj = json.loads(result.output)
         assert all(0.0 <= e["gap"] <= 1e-5 for e in obj["entries"])
         assert obj["best"] == min(obj["entries"], key=lambda e: e["valenceBound"])
 
-    def test_small_epsilon_certifies_a_positive_c(self, runner):
+    def test_small_epsilon_certifies_a_positive_c(self, cli):
         # exited 1: the cap on c lies below c_tol, and the bisection over c ended at c = 0
-        result = invoke(runner, "--format", "json", "optimize", "--epsilon", "0.01", "--grid", "1")
+        result = cli("--format", "json", "optimize", "--epsilon", "0.01", "--grid", "1")
         assert result.exit_code == 0
         assert json.loads(result.output)["best"]["certifiedC"] > 0.0
 
-    def test_bad_epsilon_is_blamed_on_epsilon(self, runner):
+    def test_bad_epsilon_is_blamed_on_epsilon(self, cli):
         # said "cannot parse grid '3'", as radius_grid ran inside the grid parser's try
-        result = runner.invoke(main, ["optimize", "--epsilon", "nan", "--grid", "3"])
+        result = cli("optimize", "--epsilon", "nan", "--grid", "3")
         assert result.exit_code == 2
-        assert "Error: epsilon must be finite and positive" in result.output
+        assert "hypercert: error: epsilon must be finite and positive" in result.output
         assert "grid" not in result.output
 
-    def test_c_tol_below_float_spacing(self, runner):
+    def test_c_tol_below_float_spacing(self, cli):
         # used to bisect forever
-        assert invoke(runner, "optimize", "--epsilon", "log3", "--grid", "1",
+        assert cli("optimize", "--epsilon", "log3", "--grid", "1",
                       "--c-tol", "1e-17").exit_code == 0
 
     @pytest.mark.parametrize("args", [
         ("--epsilon", "0.001", "--grid", "3"),
         ("--epsilon", "log3", "--grid", "1", "--c-tol", "1"),
     ], ids=["negative-cap", "cap-below-c_tol"])
-    def test_no_positive_c_exits_one(self, runner, args):
+    def test_no_positive_c_exits_one(self, cli, args):
         # the first printed valenceBound=-6 as best and exited 0, the second ended in a
         # ZeroDivisionError, as --epsilon 0.01 --grid 1 did
-        result = runner.invoke(main, ["optimize", *args])
+        result = cli("optimize", *args)
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert "no positive lower bound" in result.output
         assert "optimization failed: certification failed at every grid point" in result.output
 
-    def test_every_radius_failing_is_one_stderr_line(self, runner):
-        result = runner.invoke(main, ["optimize", "--epsilon", "0.001", "--grid", "3"])
+    def test_every_radius_failing_is_one_stderr_line(self, cli):
+        result = cli("optimize", "--epsilon", "0.001", "--grid", "3")
         assert result.exit_code == 1 and result.stdout == ""
         (line,) = result.stderr.splitlines()
         assert line.startswith("optimization failed: certification failed at every grid point: R=")
@@ -183,57 +186,72 @@ class TestOptimize:
 
     SKIPPING = ("optimize", "--epsilon", "1.0", "--grid", "9", "--max-depth", "1")
 
-    def test_skipped_radii_json(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", *self.SKIPPING).stdout)
+    def test_skipped_radii_json(self, cli):
+        obj = json.loads(cli("--format", "json", *self.SKIPPING).stdout)
         assert [s["R"] for s in obj["skipped"]] == [2.05, 2.1, 2.15]
         assert all("max depth 1 exhausted" in s["reason"] for s in obj["skipped"])
         assert len(obj["entries"]) == 6
 
-    def test_skipped_radii_are_plain_stderr_lines(self, runner):
+    def test_skipped_radii_are_plain_stderr_lines(self, cli):
         args = ["--format", "csv", *self.SKIPPING]
         proc = run_python("-m", "hypercert.cli", *args)
         assert proc.returncode == 0
         assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
         assert [line.split(":")[1] for line in proc.stderr.splitlines()] == [
             " skipping R=2.05", " skipping R=2.1", " skipping R=2.15"]
-        assert proc.stdout == invoke(runner, *args).stdout
+        assert proc.stdout == cli(*args).stdout
 
 
 class TestBound:
-    def test_general_case(self, runner):
-        result = invoke(runner, "--format", "json", "bound",
+    def test_general_case(self, cli):
+        result = cli("--format", "json", "bound",
                         "--volume", "1.0", "--cusped", "false", "--prime", "3")
         obj = json.loads(result.output)
         assert 168.601 <= obj["homologyBound"] < 168.602
         assert obj["coefficientName"] == "lambda1"
         assert obj["smallRankBound"] == 11.0
 
-    def test_noncompact_case(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", "bound",
+    def test_noncompact_case(self, cli):
+        obj = json.loads(cli("--format", "json", "bound",
                                 "--volume", "2.0", "--cusped", "true", "--prime", "5").output)
         assert obj["coefficientName"] == "lambda1Noncompact"
         assert 2 * 168.132 <= obj["homologyBound"] < 2 * 168.133
 
-    def test_compact_mod2_case(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", "bound",
+    def test_compact_mod2_case(self, cli):
+        obj = json.loads(cli("--format", "json", "bound",
                                 "--volume", "1.0", "--cusped", "false", "--prime", "2").output)
         assert obj["coefficientName"] == "lambda1CompactP2"
 
-    def test_integral_floats_stay_floats(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", "bound", "--volume", "1").output)
+    @pytest.mark.parametrize("word, name", [
+        ("true", "lambda1Noncompact"), ("TRUE", "lambda1Noncompact"), ("1", "lambda1Noncompact"),
+        ("on", "lambda1Noncompact"), ("Yes", "lambda1Noncompact"), ("false", "lambda1"),
+        ("F", "lambda1"), ("0", "lambda1"), ("off", "lambda1"), ("no", "lambda1"),
+    ])
+    def test_cusped_boolean_words(self, cli, word, name):
+        obj = json.loads(cli("--format", "json", "bound", "--volume", "1.0", "--cusped", word,
+                             "--prime", "3").stdout)
+        assert obj["coefficientName"] == name
+
+    def test_prime_above_the_exact_range_names_the_limit(self, cli):
+        result = cli("bound", "--volume", "1", "--prime", str(PRIME_LIMIT))
+        assert result.exit_code == 2
+        assert f"hypercert: error: prime must be below {PRIME_LIMIT}" in result.stderr
+
+    def test_integral_floats_stay_floats(self, cli):
+        obj = json.loads(cli("--format", "json", "bound", "--volume", "1").output)
         assert isinstance(obj["volume"], float) and isinstance(obj["smallRankBound"], float)
 
-    def test_rank_mode(self, runner):
-        result = invoke(runner, "--format", "json", "bound",
+    def test_rank_mode(self, cli):
+        result = cli("--format", "json", "bound",
                         "--volume", "1.0", "--cusped", "false", "--prime", "3",
                         "--epsilon", "log3", "--R", "log3-paper", "--c", "0.496")
         obj = json.loads(result.output)
         assert obj["valenceBound"] == 314
         assert 168.781 <= obj["rankBound"] < 168.782
 
-    def test_rank_mode_report_file(self, runner, tmp_path):
+    def test_rank_mode_report_file(self, cli, tmp_path):
         target = tmp_path / "report.json"
-        result = invoke(runner, "--format", "json", "--output", str(target), "bound",
+        result = cli("--format", "json", "--output", str(target), "bound",
                         "--volume", "1.0", "--cusped", "false", "--prime", "3",
                         "--epsilon", "log3", "--R", "log3-paper", "--c", "0.496")
         assert result.exit_code == 0
@@ -249,6 +267,11 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("bound", "--volume", "-1.0"), id="bound-negative-volume"),
     pytest.param(("bound", "--volume", "1.0", "--epsilon", "log3"), id="bound-partial-rank-flags"),
     pytest.param(("bound", "--volume", "1.0", "--prime", "4"), id="bound-composite-prime"),
+    pytest.param(("bound", "--volume", "1", "--prime", "318665857834031151167461"),
+                 id="bound-prime-strong-pseudoprime-to-37"),
+    pytest.param(("bound", "--volume", "1", "--prime", "3317044064679887385961981"),
+                 id="bound-prime-strong-pseudoprime-to-41"),
+    pytest.param(("bound", "--volume", "1", "--cusped", "maybe"), id="bound-cusped-maybe"),
     pytest.param(("bound", "--volume", "1", "--epsilon", "log3", "--R", "reference", "--c", "nan"),
                  id="bound-rank-c-nan"),
     pytest.param((*CERTIFY_REF, "--c", "0.496", "--max-depth", "0"), id="certify-max-depth-0"),
@@ -264,6 +287,7 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("optimize", "--epsilon", "log3", "--grid", ","), id="optimize-empty-grid"),
     pytest.param(("optimize", "--epsilon", "log3", "--grid", "0"), id="optimize-grid-0"),
     pytest.param(("mc-check", "--shape", "cap", "--samples", "0"), id="mc-check-samples-0"),
+    pytest.param(("mc-check", "--shape", "ball", "--sam", "10"), id="mc-check-option-prefix"),
     pytest.param(("mc-check", "--shape", "ball", "--samples", "10", "--seed", "-1"),
                  id="mc-check-seed-negative"),
     pytest.param(("mc-check", "--shape", "ball", "--params", "400"), id="mc-check-ball-overflow"),
@@ -274,33 +298,32 @@ CERTIFY_REF = ("certify", "--epsilon", "log3", "--R", "reference")
     pytest.param(("--slack", "nan", "verify"), id="slack-nan"),
     pytest.param(("--slack", "inf", "verify"), id="slack-inf"),
 ])
-def test_invalid_input_exits_two(runner, args):
-    result = runner.invoke(main, list(args))
+def test_invalid_input_exits_two(cli, args):
+    result = cli(*args)
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
 
 
 class TestMcCheck:
-    def test_icecream_defaults_small_sample(self, runner):
-        result = invoke(runner, "--format", "json", "mc-check", "--shape", "icecream",
+    def test_icecream_defaults_small_sample(self, cli):
+        result = cli("--format", "json", "mc-check", "--shape", "icecream",
                         "--samples", "40000", "--seed", "7")
         assert result.exit_code == 0
         obj = json.loads(result.output)
         assert obj["within3Sigma"] is True
         assert obj["samples"] == 40000 and obj["seed"] == 7
 
-    def test_cap_with_params(self, runner):
-        result = invoke(runner, "--format", "json", "mc-check", "--shape", "cap",
+    def test_cap_with_params(self, cli):
+        result = cli("--format", "json", "mc-check", "--shape", "cap",
                         "--params", "1.0,0.5", "--samples", "40000", "--seed", "3")
         obj = json.loads(result.output)
         assert obj["closedForm"] == pytest.approx(0.6694232433005802, abs=1e-12)
         assert obj["within3Sigma"] is True
 
     @pytest.mark.parametrize("samples", ["1", "2"])
-    def test_zero_standard_error_json_is_valid(self, runner, samples):
+    def test_zero_standard_error_json_is_valid(self, cli, samples):
         # with no hit the standard error is 0 and the deviation infinite
-        result = runner.invoke(main, ["--format", "json", "mc-check", "--shape", "cap",
-                                      "--samples", samples])
+        result = cli("--format", "json", "mc-check", "--shape", "cap", "--samples", samples)
         assert result.exit_code == 1
 
         def reject(token):
@@ -310,28 +333,28 @@ class TestMcCheck:
         assert obj["standardError"] == 0.0
         assert obj["deviationSigmas"] is None
         assert obj["within3Sigma"] is False
-        human = runner.invoke(main, ["mc-check", "--shape", "cap", "--samples", samples])
+        human = cli("mc-check", "--shape", "cap", "--samples", samples)
         assert "deviationSigmas  inf" in human.stdout
 
-    def test_zero_hits_is_one_plain_stderr_line(self, runner):
+    def test_zero_hits_is_one_plain_stderr_line(self, cli):
         args = ["mc-check", "--shape", "cap", "--samples", "1"]
         proc = run_python("-m", "hypercert.cli", *args)
         assert proc.returncode == 1
         assert "no hits" in proc.stderr
         assert "UserWarning" not in proc.stderr and ".py:" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
-        assert proc.stdout == runner.invoke(main, args).stdout
+        assert proc.stdout == cli(*args).stdout
 
-    def test_ball_is_exact(self, runner):
-        obj = json.loads(invoke(runner, "--format", "json", "mc-check", "--shape", "ball",
+    def test_ball_is_exact(self, cli):
+        obj = json.loads(cli("--format", "json", "mc-check", "--shape", "ball",
                                 "--params", "0.8", "--samples", "1000").output)
         assert obj["deviationSigmas"] == 0.0
         assert obj["standardError"] == 0.0 and isinstance(obj["standardError"], float)
 
     @pytest.mark.parametrize("radius", ["8", "20"])
-    def test_ball_far_from_basepoint(self, runner, radius):
+    def test_ball_far_from_basepoint(self, cli, radius):
         # an absolute on-sheet tolerance rejected the sampler's own points, with exit 2
-        result = invoke(runner, "--format", "json", "mc-check", "--shape", "ball",
+        result = cli("--format", "json", "mc-check", "--shape", "ball",
                         "--params", radius, "--samples", "20000")
         assert result.exit_code == 0
         assert json.loads(result.output)["within3Sigma"] is True
@@ -339,43 +362,44 @@ class TestMcCheck:
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 1: mcoracle._dist cancels ~1e86-sized terms 100 from the basepoint, "
         "so the ball's distances there are noise and the 3-sigma check fails"))
-    def test_ball_of_radius_100_is_exact(self, runner):
-        result = runner.invoke(main, ["--format", "json", "mc-check", "--shape", "ball",
-                                      "--params", "100", "--samples", "20000"])
+    def test_ball_of_radius_100_is_exact(self, cli):
+        result = cli("--format", "json", "mc-check", "--shape", "ball", "--params", "100", "--samples", "20000")
         assert result.exit_code == 0
         assert json.loads(result.output)["deviationSigmas"] == 0.0
 
     @pytest.mark.parametrize("w", ["800", "-800"])
-    def test_cap_with_far_plane(self, runner, w):
+    def test_cap_with_far_plane(self, cli, w):
         # the cap's axis point only sets a direction, so a far plane is not an overflow
-        result = invoke(runner, "--format", "json", "mc-check", "--shape", "cap",
+        result = cli("--format", "json", "mc-check", "--shape", "cap",
                         "--params", f"1,{w}", "--samples", "20000")
         assert result.exit_code == 0, result.output
         obj = json.loads(result.stdout)
         assert obj["closedForm"] == (0.0 if w == "800" else ball_volume(1.0))
         assert obj["mean"] == obj["closedForm"]
 
-    def test_bad_params_exit_two(self, runner):
-        result = runner.invoke(main, ["mc-check", "--shape", "lens", "--params", "0.5,0.7,3.0"])
+    def test_bad_params_exit_two(self, cli):
+        result = cli("mc-check", "--shape", "lens", "--params", "0.5,0.7,3.0")
         assert result.exit_code == 2
-        result = runner.invoke(main, ["mc-check", "--shape", "cap", "--params", "1.0"])
+        result = cli("mc-check", "--shape", "cap", "--params", "1.0")
         assert result.exit_code == 2
 
-    def test_determinism(self, runner):
+    def test_determinism(self, cli):
         args = ["--format", "json", "mc-check", "--shape", "cone", "--samples", "20000", "--seed", "5"]
-        assert invoke(runner, *args).output == invoke(runner, *args).output
+        assert cli(*args).output == cli(*args).output
 
     @pytest.mark.parametrize("option", ["--seed", "--samples"])
-    def test_no_global_sample_or_seed_option(self, runner, option):
+    def test_no_global_sample_or_seed_option(self, cli, option):
         # mc-check's own --samples and --seed are the one way to set them
-        result = runner.invoke(main, [option, "5", "mc-check", "--shape", "ball"])
+        result = cli(option, "5", "mc-check", "--shape", "ball")
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
 
-    def test_sample_and_seed_take_no_environment_variable(self, runner):
+    def test_sample_and_seed_take_no_environment_variable(self, cli, monkeypatch):
         args = ["--format", "json", "mc-check", "--shape", "ball"]
-        plain = invoke(runner, *args)
-        result = invoke(runner, *args, env={"HYPERCERT_SEED": "1", "HYPERCERT_SAMPLES": "1"})
+        plain = cli(*args)
+        monkeypatch.setenv("HYPERCERT_SEED", "1")
+        monkeypatch.setenv("HYPERCERT_SAMPLES", "1")
+        result = cli(*args)
         assert (result.exit_code, result.output) == (0, plain.output)
         obj = json.loads(plain.output)
         assert (obj["samples"], obj["seed"]) == (DEFAULT_SAMPLES, DEFAULT_SEED)
@@ -387,78 +411,76 @@ class TestQuadratureFailure:
         ["bound", "--volume", "1"],
         ["optimize", "--epsilon", "log3", "--grid", "1"],
     ], ids=["constants", "bound", "optimize"])
-    def test_exits_nonzero(self, runner, args):
+    def test_exits_nonzero(self, cli, args):
         # bound and optimize used to end on a QuadratureError traceback
-        result = runner.invoke(main, ["--quad-tol", "1e-300", *args])
+        result = cli("--quad-tol", "1e-300", *args)
         assert result.exit_code == 1
         assert "quadrature failure" in result.output
         assert not isinstance(result.exception, QuadratureError)
 
-    def test_underflowed_tau_exits_one(self, runner):
+    def test_underflowed_tau_exits_one(self, cli):
         # tau(eps/2) underflows to 0, which used to end in a ZeroDivisionError
-        result = runner.invoke(main, ["optimize", "--epsilon", "1e-10", "--grid", "1"])
+        result = cli("optimize", "--epsilon", "1e-10", "--grid", "1")
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.output.startswith("quadrature failure: ")
         assert len(result.output.splitlines()) == 1
 
 
 class TestEnvironmentOverrides:
-    def test_format_from_env(self, runner):
-        result = runner.invoke(main, ["constants"], env={"HYPERCERT_FORMAT": "json"},
-                               catch_exceptions=False)
-        obj = json.loads(result.output)
-        assert obj["valenceBound"] == 314
-
-    def test_output_from_env(self, runner, tmp_path):
-        target = tmp_path / "cert.json"
-        result = runner.invoke(main, ["--format", "json", "verify"],
-                               env={"HYPERCERT_OUTPUT": str(target)}, catch_exceptions=False)
-        assert result.output == ""
-        assert json.loads(target.read_text())["cellCount"] == 47
-
-    @pytest.mark.parametrize("var, value, args, key", [
-        ("HYPERCERT_QUAD_TOL", "1e-9", ["constants"], "quadratureTolerance"),
-        ("HYPERCERT_SLACK", "1e-8", ["verify"], "slack"),
-    ])
-    def test_option_from_env(self, runner, var, value, args, key):
-        result = runner.invoke(main, ["--format", "json", *args], env={var: value},
-                               catch_exceptions=False)
-        assert json.loads(result.output)[key] == float(value)
-
-    # the name each subcommand option would read under click's auto_envvar_prefix="HYPERCERT"
-    SUBCOMMAND_VARS = [f"HYPERCERT_{name.replace('-', '_').upper()}_{param.name.upper()}"
-                       for name, command in main.commands.items() for param in command.params]
+    # HYPERCERT_<COMMAND>_<OPTION> for each of the 19 subcommand options
+    SUBCOMMAND_OPTIONS = {
+        "CERTIFY": "EPSILON RADIUS TARGET_C MAX_DEPTH",
+        "OPTIMIZE": "EPSILON GRID MAX_DEPTH C_TOL",
+        "BOUND": "VOLUME CUSPED PRIME EPSILON RADIUS TARGET_C MAX_DEPTH",
+        "MC_CHECK": "SHAPE PARAMS SAMPLES SEED",
+    }
+    SUBCOMMAND_VARS = [f"HYPERCERT_{command}_{option}"
+                       for command, options in SUBCOMMAND_OPTIONS.items() for option in options.split()]
 
     @pytest.mark.parametrize("args", [
         ["mc-check", "--shape", "phi", "--samples", "2000"],
         ["optimize", "--epsilon", "1.0", "--grid", "3"],
         ["bound", "--volume", "2.0"],
+        ["verify"],
+        ["constants"],
     ])
-    def test_subcommand_options_take_no_environment_variable(self, runner, args):
-        # were they read, each "1" would change the run: one sample, max depth 1, cusped, prime 1
+    def test_subcommand_options_take_no_environment_variable(self, cli, monkeypatch, tmp_path, args):
+        # were they read, each "1" would change the run (one sample, max depth 1, cusped, prime 1),
+        # and so would each former global variable: json output, written to a file, with a
+        # quadrature tolerance that fails and a slack that fails verify
         assert len(self.SUBCOMMAND_VARS) == 19
-        plain = invoke(runner, "--format", "json", *args)
+        plain = cli(*args)
         assert plain.exit_code == 0
-        result = invoke(runner, "--format", "json", *args, env=dict.fromkeys(self.SUBCOMMAND_VARS, "1"))
-        assert (result.exit_code, result.output) == (0, plain.output)
+        target = tmp_path / "out"
+        for var, value in {**dict.fromkeys(self.SUBCOMMAND_VARS, "1"), "HYPERCERT_FORMAT": "json",
+                           "HYPERCERT_OUTPUT": str(target), "HYPERCERT_QUAD_TOL": "1e-300",
+                           "HYPERCERT_SLACK": "0.1"}.items():
+            monkeypatch.setenv(var, value)
+        result = cli(*args)
+        assert (result.exit_code, result.stdout, result.stderr) == (0, plain.stdout, plain.stderr)
+        assert not target.exists()
 
-    def test_required_option_not_taken_from_environment(self, runner):
-        result = runner.invoke(main, ["mc-check"], env={"HYPERCERT_MC_CHECK_SHAPE": "ball"})
+    def test_required_option_not_taken_from_environment(self, cli, monkeypatch):
+        monkeypatch.setenv("HYPERCERT_MC_CHECK_SHAPE", "ball")
+        result = cli("mc-check")
         assert result.exit_code == 2 and "--shape" in result.output
 
+
+# run with -S, without site-packages: verify and constants need only the standard library
 IMPORT_PROBE = """
-import sys
-from click.testing import CliRunner
+import contextlib, io, sys
 import hypercert.cli
 for args in (["verify"], ["constants"]):
-    assert CliRunner().invoke(hypercert.cli.main, args).exit_code == 0, args
-print(sorted(m for m in ("scipy", "numpy") if m in sys.modules))
+    with contextlib.redirect_stdout(io.StringIO()):
+        hypercert.cli.main(args)
+print(sorted({name.partition(".")[0] for name in sys.modules}
+             - sys.stdlib_module_names - {"__main__", "hypercert"}))
 """
 
 
 class TestImports:
     def test_cli_loads_neither_scipy_nor_numpy(self):
-        proc = run_python("-c", IMPORT_PROBE)
+        proc = run_python("-S", "-c", IMPORT_PROBE)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 

@@ -3,14 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import hypercert.density as density_mod
 from helpers import circumradius_h3
-from hypercert.cli import main
 from hypercert import (
     DomainError,
     QuadratureConfig,
@@ -144,7 +142,7 @@ class TestSimplexVolume:
     @pytest.mark.parametrize(
         "args", [("constants",), ("bound", "--volume", "1", "--prime", "3")], ids=["constants", "bound"]
     )
-    def test_cli_runs_one_quadrature(self, monkeypatch, args):
+    def test_cli_runs_one_quadrature(self, cli, monkeypatch, args):
         # every constant these commands print rests on the one value b(log3 / 2)
         calls = []
         real_quad = density_mod._adaptive_gauss_legendre
@@ -155,7 +153,7 @@ class TestSimplexVolume:
 
         monkeypatch.setattr(density_mod, "_adaptive_gauss_legendre", counting_quad)
         simplex_volume_tau.cache_clear()
-        result = CliRunner().invoke(main, list(args), catch_exceptions=False)
+        result = cli(*args)
         assert result.exit_code == 0
         assert len(calls) == 1
 
